@@ -26,10 +26,6 @@ Subpackages
     over SAN simulation, exact CTMC solves, the cluster simulator and
     the analytical closed forms, plus a content-addressed result
     cache.
-``repro.resilience``
-    Resilient backend execution: per-evaluation deadlines, retries
-    with derived seeds, per-backend circuit breakers and declarative
-    degradation chains wrapped around any registered backend.
 ``repro.experiments``
     The evaluation harness regenerating every figure of the paper.
 ``repro.validate``

@@ -8,7 +8,6 @@ predictor used to cross-check the SAN simulation.
 """
 
 from . import (
-    availability,
     coordination,
     daly,
     design,
@@ -26,7 +25,6 @@ __all__ = [
     "coordination",
     "markov",
     "useful_work",
-    "availability",
     "design",
     "sensitivity",
 ]

@@ -124,7 +124,6 @@ def make_executor(
     processes: Optional[int] = None,
     point_timeout: Optional[float] = None,
     fault_plan: Optional[Any] = None,
-    backend_resilience: Optional[Any] = None,
     queue_dir: Optional[str] = None,
     clock: Callable[[], float] = time.monotonic,
     sleep: Callable[[float], None] = time.sleep,
@@ -149,7 +148,6 @@ def make_executor(
         return SerialExecutor(
             point_timeout=point_timeout,
             fault_plan=fault_plan,
-            backend_resilience=backend_resilience,
             run_task=run_task,
         )
     if name == "pool":
@@ -159,7 +157,6 @@ def make_executor(
             processes=processes if processes is not None else 2,
             point_timeout=point_timeout,
             fault_plan=fault_plan,
-            backend_resilience=backend_resilience,
             clock=clock,
             sleep=sleep,
             pool_factory=pool_factory,
@@ -177,7 +174,6 @@ def make_executor(
             queue_dir,
             point_timeout=point_timeout,
             fault_plan=fault_plan,
-            backend_resilience=backend_resilience,
             run_task=run_task,
         )
     raise ExecutorError(

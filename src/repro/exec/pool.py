@@ -87,7 +87,6 @@ class PoolExecutor:
         processes: int = 2,
         point_timeout: Optional[float] = None,
         fault_plan: Optional[Any] = None,
-        backend_resilience: Optional[Any] = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
         pool_factory: Optional[Callable[[], Any]] = None,
@@ -108,7 +107,6 @@ class PoolExecutor:
         self._inflight: Deque[Tuple[EvaluationTask, Any, float]] = deque()
         self._point_timeout = point_timeout
         self._fault_plan = fault_plan
-        self._backend_resilience = backend_resilience
         self._clock = clock
         self._sleep = sleep
         self._pool_factory = pool_factory or (
@@ -155,7 +153,6 @@ class PoolExecutor:
         return self._task_function()(
             task,
             self._fault_plan,
-            self._backend_resilience,
             self._point_timeout,
         )
 
@@ -188,7 +185,7 @@ class PoolExecutor:
                     task = self._ready.popleft()
                     async_result = self._pool.apply_async(
                         self._task_function(),
-                        (task, self._fault_plan, self._backend_resilience),
+                        (task, self._fault_plan),
                     )
                     self._inflight.append((task, async_result, now))
                     task = None

@@ -279,7 +279,6 @@ class QueueExecutor:
         queue_dir: str,
         point_timeout: Optional[float] = None,
         fault_plan: Optional[Any] = None,
-        backend_resilience: Optional[Any] = None,
         run_task: Optional[Callable[..., TaskResult]] = None,
         orphan_age: float = INFLIGHT_SWEEP_AGE_SECONDS,
         clock: Callable[[], float] = time.time,
@@ -306,7 +305,6 @@ class QueueExecutor:
             os.makedirs(directory, exist_ok=True)
         self._point_timeout = point_timeout
         self._fault_plan = fault_plan
-        self._backend_resilience = backend_resilience
         self._run_task = run_task
         self._orphan_age = orphan_age
         self._clock = clock
@@ -427,7 +425,6 @@ class QueueExecutor:
         return runner(
             task,
             self._fault_plan,
-            self._backend_resilience,
             self._point_timeout,
         )
 

@@ -43,15 +43,13 @@ class SerialExecutor:
         self,
         point_timeout: Optional[float] = None,
         fault_plan: Optional[Any] = None,
-        backend_resilience: Optional[Any] = None,
         run_task: Optional[Callable[..., TaskResult]] = None,
     ) -> None:
         """In-process executor.
 
         ``point_timeout`` becomes the cooperative per-task deadline
-        (see the module docstring); ``fault_plan`` and
-        ``backend_resilience`` are forwarded to every
-        :func:`~repro.exec.task.execute_task` call. ``run_task``
+        (see the module docstring); ``fault_plan`` is forwarded to
+        every :func:`~repro.exec.task.execute_task` call. ``run_task``
         overrides the evaluation function itself (test seam); when
         ``None`` the executor resolves
         ``repro.exec.task.execute_task`` at call time, so
@@ -61,7 +59,6 @@ class SerialExecutor:
         self._ready: Deque[EvaluationTask] = deque()
         self._point_timeout = point_timeout
         self._fault_plan = fault_plan
-        self._backend_resilience = backend_resilience
         self._run_task = run_task
         self._executed = 0
 
@@ -85,7 +82,6 @@ class SerialExecutor:
             yield runner(
                 item,
                 self._fault_plan,
-                self._backend_resilience,
                 self._point_timeout,
             )
 

@@ -14,12 +14,10 @@ would serve both from one entry".
 
 :func:`execute_task` is the one evaluation recipe every executor runs
 (in-process for the serial and queue executors, inside a worker
-process for the pool): resolve the backend, optionally wrap it in a
-:class:`~repro.resilience.backend.ResilientBackend`, evaluate under
-the task's derived seed, best-effort write the *clean* result through
-to the cache, and fold any exception into a structured
-:class:`TaskResult` failure payload — nothing un-picklable ever
-crosses a process boundary.
+process for the pool): resolve the backend, evaluate under the task's
+seed, best-effort write the result through to the cache, and fold any
+exception into a structured :class:`TaskResult` failure payload —
+nothing un-picklable ever crosses a process boundary.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from ..backends import EvaluationPlan, ResultCache, get_backend
 from ..backends.cache import request_digest
 from ..core.parameters import ModelParameters
 from ..core.simulation import SimulationPlan
-from ..resilience.retry import derive_attempt_seed
 
 __all__ = [
     "TASK_SCHEMA_VERSION",
@@ -80,16 +77,19 @@ class EvaluationTask:
     params:
         The model configuration to evaluate.
     plan:
-        The evaluation plan *before* seeding: the effective seed of an
-        attempt is :func:`~repro.resilience.retry.derive_attempt_seed`
-        of ``(base_seed, attempt)``, applied by :meth:`seeded_plan`.
+        The evaluation plan *before* seeding; :meth:`seeded_plan`
+        roots it at ``base_seed``.
     backend:
         Registered backend id to evaluate through (resolved by name in
         whichever process runs the task).
     base_seed:
         The point's own seed (``sweep seed + index`` by convention).
+        Every attempt runs under it: a retry replays the point's
+        sample path, so a recovered point is bit-identical to an
+        unfaulted one.
     attempt:
-        Zero-based retry counter stamped by the supervisor.
+        Zero-based retry counter stamped by the supervisor (read by
+        fault plans and reporting; it never changes the value).
     priority:
         Queue ordering hint (lower runs first; non-negative).
     cache_dir:
@@ -113,8 +113,8 @@ class EvaluationTask:
 
     @property
     def seed(self) -> int:
-        """The effective seed of this attempt (attempt 0 = base seed)."""
-        return derive_attempt_seed(self.base_seed, self.attempt)
+        """The effective seed of every attempt: the point's base seed."""
+        return self.base_seed
 
     @property
     def key(self) -> Tuple[str, float]:
@@ -122,7 +122,7 @@ class EvaluationTask:
         return (self.series, self.x)
 
     def seeded_plan(self) -> EvaluationPlan:
-        """The evaluation plan rooted at this attempt's derived seed."""
+        """The evaluation plan rooted at the point's seed."""
         return self.plan.with_seed(self.seed)
 
     def with_attempt(self, attempt: int) -> "EvaluationTask":
@@ -135,9 +135,9 @@ class EvaluationTask:
         Identical to the :class:`~repro.backends.cache.ResultCache`
         entry key for the same request (backend id + version, params,
         seeded plan), so queue-level deduplication and cache hits
-        agree on what "the same work" means. The seed participates:
-        different attempts (or sweeps rooted at different seeds) are
-        distinct work.
+        agree on what "the same work" means. The seed participates
+        (sweeps rooted at different seeds are distinct work); the
+        attempt does not (a retry is the same work again).
         """
         backend = get_backend(self.backend)
         return request_digest(backend, self.params, self.seeded_plan())
@@ -218,10 +218,10 @@ class TaskResult:
     serialised :class:`~repro.backends.base.EvaluationResult` under
     ``result``; an error result carries the structured
     :func:`failure_payload` under ``failure``. Provenance travels with
-    the envelope: which attempt ran, under which derived seed, and
-    whether the result was ``coalesced`` (served from another
-    submission's evaluation or a persistent queue's result store
-    rather than evaluated for this submission).
+    the envelope: which attempt ran, under which seed (always the
+    task's ``base_seed``), and whether the result was ``coalesced``
+    (served from another submission's evaluation or a persistent
+    queue's result store rather than evaluated for this submission).
     """
 
     status: str
@@ -311,14 +311,13 @@ class TaskResult:
 def execute_task(
     task: EvaluationTask,
     fault_plan: Optional[Any] = None,
-    backend_resilience: Optional[Any] = None,
     deadline: Optional[float] = None,
 ) -> TaskResult:
     """Evaluate one task; never raise.
 
     Resolves the backend by name (backends register at import time in
-    every process), evaluates under the task's derived attempt seed,
-    and best-effort writes the result through to the task's cache.
+    every process), evaluates under the task's seed, and best-effort
+    writes every ok result through to the task's cache.
     Exceptions are folded into a structured ``"error"``
     :class:`TaskResult` before they cross any process boundary.
 
@@ -329,24 +328,11 @@ def execute_task(
     under the task's own (un-tightened) seeded plan — a deadline
     changes whether a point finishes, never its value, so it must not
     fork the cache key space.
-
-    With ``backend_resilience`` set, the backend is wrapped in a
-    :class:`~repro.resilience.backend.ResilientBackend` (deadlines,
-    seed-deriving retries, circuit breaker, degradation chain,
-    backend-level fault injection). Only a *clean* execution — the
-    primary backend, first attempt, base seed, exactly what an
-    unfaulted run would produce — is written to the result cache, so
-    the cache can never launder a degraded value into a clean run.
     """
     try:
         if fault_plan is not None:
             fault_plan.before_point(task.index, task.attempt)
         backend = get_backend(task.backend)
-        evaluator = backend
-        if backend_resilience is not None:
-            from ..resilience import ResilientBackend
-
-            evaluator = ResilientBackend(backend, backend_resilience)
         seeded_plan = task.seeded_plan()
         eval_plan = seeded_plan
         if deadline is not None:
@@ -358,11 +344,9 @@ def execute_task(
                     seeded_plan.simulation, wall_clock_budget=tightened
                 ),
             )
-        result = evaluator.evaluate(task.params, eval_plan)
+        result = backend.evaluate(task.params, eval_plan)
         metric_value = result.metric(seeded_plan.metrics[0])
-        report = getattr(evaluator, "last_report", None)
-        cacheable = report is None or report.clean
-        if task.cache_dir and cacheable:
+        if task.cache_dir:
             try:
                 ResultCache(task.cache_dir).put(
                     backend, task.params, seeded_plan, result

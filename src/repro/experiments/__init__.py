@@ -32,13 +32,7 @@ from .archive import (
     save_figure,
 )
 from .chaos import ChaosOutcome, run_chaos
-from .faultinject import (
-    BackendFaultPlan,
-    FaultPlan,
-    InjectedBackendFault,
-    InjectedCrash,
-    SweepAborted,
-)
+from .faultinject import FaultPlan, InjectedCrash, SweepAborted
 from .paper_claims import CLAIMS, Claim, ClaimOutcome, evaluate_claims, render_claims
 from .resilience import (
     CheckpointError,
@@ -90,9 +84,7 @@ __all__ = [
     "CheckpointError",
     "SweepSupervisor",
     "FaultPlan",
-    "BackendFaultPlan",
     "InjectedCrash",
-    "InjectedBackendFault",
     "SweepAborted",
     "ChaosOutcome",
     "run_chaos",

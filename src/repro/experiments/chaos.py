@@ -1,56 +1,50 @@
-"""Backend-level chaos testing: run a figure under injected faults
-and prove the archive still matches a clean run.
+"""Chaos testing: run a figure under injected faults and prove the
+archive still matches a clean run.
 
 The paper models machines that keep doing useful work while their
 components fail; this module holds the harness to the same standard.
 :func:`run_chaos` regenerates a (sliced, scaled-down) figure twice —
-once cleanly, once with a :class:`~repro.experiments.faultinject.BackendFaultPlan`
-afflicting the primary backend behind a fully armed
-:class:`~repro.resilience.backend.ResilientBackend` (deadline, retry,
-circuit breaker, degradation chain) — and compares the two archives:
+once cleanly and serially, once through the process pool under a
+:meth:`~repro.experiments.faultinject.FaultPlan.sampled` plan that
+crashes and hangs a deterministic share of the points on their first
+attempt — and compares the two archives:
 
-1. **bitwise** first: because ``san-sim`` and ``san-sim-full`` are
-   trajectory-preserving (identical results per seed), a fault plan
-   that afflicts only the primary backend on *every* attempt forces
-   afflicted points through retries into degradation, and the
-   degraded values must still match the clean run bit for bit;
+1. **bitwise** first: a retry replays its point's own seed, so every
+   point the sweep supervisor recovers must match the clean run bit
+   for bit;
 2. :func:`~repro.experiments.archive.compare_figures` within
-   tolerance otherwise (transient faults that survive on a retry use
-   a derived seed, so their values legitimately move within noise);
+   tolerance otherwise;
 3. a :class:`~repro.validate.stats.TolerancePolicy` band cross-check
    on every point, the same agreement bands the differential
-   validation suite (PR 5) uses between backends.
+   validation suite uses between backends.
 
-The faulted run's :class:`~repro.obs.RunManifest` carries the full
-resilience event log — every deadline kill, retry, breaker
-transition, and ``degraded_from`` stamp — which is how the ``repro
-chaos`` CLI (and the ``chaos-smoke`` CI job) asserts that recovery
-actually happened rather than the faults never firing.
+The faulted run goes through the pool because only the pool can kill
+a hung worker (``point_timeout``). Its
+:class:`~repro.obs.RunManifest` records the ``retries`` and the
+per-point ``execution.attempts``, which is how the ``repro chaos``
+CLI (and the ``chaos-smoke`` CI job) shows that recovery actually
+happened rather than the faults never firing.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from ..resilience import (
-    BackendResilienceOptions,
-    BreakerPolicy,
-    DegradationPolicy,
-    RetryPolicy,
-    reset_breakers,
-)
-from ..resilience import events as resilience_events
 from ..validate.stats import TolerancePolicy
 from .archive import compare_figures, save_figure
 from .config import plan_for
-from .faultinject import BackendFaultPlan
+from .faultinject import FaultPlan
 from .figures import FIGURE_SPECS
-from .resilience import ResilienceOptions
+from .resilience import ResilienceOptions, RetryPolicy
 from .runner import FigureResult, run_sweep
 
-__all__ = ["ChaosOutcome", "default_chaos_resilience", "run_chaos"]
+__all__ = ["ChaosOutcome", "run_chaos"]
+
+#: Worker processes of the faulted run (the pool is the executor that
+#: can kill a hang).
+CHAOS_PROCESSES = 2
 
 
 @dataclass
@@ -62,9 +56,8 @@ class ChaosOutcome:
     figure_id / points / backend:
         The (sliced) figure that was regenerated twice.
     bit_identical:
-        The faulted archive matches the clean one exactly — the
-        strongest possible verdict, expected whenever every afflicted
-        point degraded to a trajectory-preserving sibling backend.
+        The faulted archive matches the clean one exactly — expected
+        whenever every afflicted point recovered on a retry.
     discrepancies:
         Rendered :class:`~repro.experiments.archive.Discrepancy`
         entries from the tolerance comparison (empty when within
@@ -72,13 +65,13 @@ class ChaosOutcome:
     band_violations:
         Points whose clean/faulted difference exceeds the
         :class:`~repro.validate.stats.TolerancePolicy` band.
-    events_by_kind / degraded:
-        Summary of the faulted run's resilience event log (what
-        actually fired: retries, deadline kills, breaker transitions,
-        degradations).
-    faults_fired:
-        At least one injected fault was observed (a chaos run whose
-        plan never fires proves nothing).
+    retries / failed_points / timeouts:
+        From the faulted run's manifest: extra attempts beyond each
+        point's first, points that exhausted their retries, and hung
+        workers the pool killed.
+    attempts:
+        ``point index -> attempts`` for every point that needed more
+        than one (the manifest's ``execution.attempts``).
     clean_wall_clock / faulted_wall_clock:
         Wall-clock seconds of the two runs.
     """
@@ -89,11 +82,18 @@ class ChaosOutcome:
     bit_identical: bool
     discrepancies: List[str] = field(default_factory=list)
     band_violations: List[str] = field(default_factory=list)
-    events_by_kind: Dict[str, int] = field(default_factory=dict)
-    degraded: List[str] = field(default_factory=list)
-    faults_fired: bool = True
+    retries: int = 0
+    failed_points: int = 0
+    timeouts: int = 0
+    attempts: Dict[str, int] = field(default_factory=dict)
     clean_wall_clock: float = 0.0
     faulted_wall_clock: float = 0.0
+
+    @property
+    def faults_fired(self) -> bool:
+        """At least one injected fault was observed (a chaos run whose
+        plan never fires proves nothing)."""
+        return self.retries > 0 or self.failed_points > 0
 
     @property
     def recovered(self) -> bool:
@@ -111,19 +111,23 @@ class ChaosOutcome:
         lines = [
             f"chaos {self.figure_id}: {self.points} point(s), "
             f"backend {self.backend}",
-            f"  clean run:   {self.clean_wall_clock:.1f} s",
-            f"  faulted run: {self.faulted_wall_clock:.1f} s",
+            f"  clean run:   {self.clean_wall_clock:.1f} s (serial)",
+            f"  faulted run: {self.faulted_wall_clock:.1f} s "
+            f"(pool, {CHAOS_PROCESSES} processes)",
+            f"  recovery: {self.retries} retry(ies), "
+            f"{self.timeouts} hung worker(s) killed, "
+            f"{self.failed_points} failed point(s)",
         ]
-        if self.events_by_kind:
-            shown = ", ".join(
-                f"{kind}={count}"
-                for kind, count in sorted(self.events_by_kind.items())
+        if self.attempts:
+            lines.append(
+                "  attempts: "
+                + ", ".join(
+                    f"point {index}: {count}"
+                    for index, count in sorted(
+                        self.attempts.items(), key=lambda item: int(item[0])
+                    )
+                )
             )
-            lines.append(f"  resilience events: {shown}")
-        else:
-            lines.append("  resilience events: none recorded")
-        for stamp in self.degraded:
-            lines.append(f"  degraded: {stamp}")
         if not self.faults_fired:
             lines.append(
                 "  WARNING: no injected fault fired; raise the fault "
@@ -149,39 +153,6 @@ class ChaosOutcome:
         return lines
 
 
-def default_chaos_resilience(
-    backend: str,
-    fault_plan: BackendFaultPlan,
-    deadline: Optional[float] = 30.0,
-    retries: int = 1,
-    degrade_to: Tuple[str, ...] = (),
-    state_dir: Optional[str] = None,
-) -> BackendResilienceOptions:
-    """The fully armed resilience configuration a chaos run uses.
-
-    Subprocess isolation is always on (an injected hang must be
-    killable), backoff is kept near zero (a chaos run should spend
-    its wall clock simulating, not sleeping), and the breaker trips
-    fast so a permanently afflicted backend is cut off after a couple
-    of points rather than burning deadline budget on each one.
-    """
-    return BackendResilienceOptions(
-        deadline=deadline,
-        retry=RetryPolicy(
-            max_retries=retries, backoff_base=0.01, backoff_max=0.05,
-            jitter=0.0,
-        ),
-        breaker=BreakerPolicy(
-            consecutive_failures=3, failure_rate=0.5, window=10,
-            min_calls=6, reset_timeout=3600.0,
-        ),
-        degradation=DegradationPolicy(chain=degrade_to) if degrade_to else None,
-        isolation="process",
-        state_dir=state_dir,
-        fault_plan=fault_plan,
-    )
-
-
 def _scaled_plan(preset: str, scale: float):
     """The preset's simulation plan with effort scaled by ``scale``."""
     plan = plan_for(preset)
@@ -200,44 +171,32 @@ def run_chaos(
     seed: int = 0,
     scale: float = 1.0,
     max_points: Optional[int] = None,
-    fault_plan: Optional[BackendFaultPlan] = None,
-    options: Optional[BackendResilienceOptions] = None,
+    crash: float = 0.5,
+    hang: float = 0.0,
+    hang_seconds: float = 3600.0,
+    salt: str = "",
+    deadline: Optional[float] = 30.0,
+    retries: int = 1,
     tolerance: float = 0.15,
     policy: Optional[TolerancePolicy] = None,
     out_dir: Optional[str] = None,
-    executor: Optional[str] = None,
-    queue_dir: Optional[str] = None,
 ) -> ChaosOutcome:
     """Run one figure clean and faulted; compare the archives.
 
     ``max_points`` slices the figure's sweep to its first N points
     (the CI smoke runs a handful, not all 30 of fig4a), and ``scale``
     shrinks the simulation effort like the validation CLI's
-    ``--scale``. ``fault_plan`` defaults to a crash-every-attempt plan
-    on half the evaluations of the figure's own backend, and
-    ``options`` defaults to :func:`default_chaos_resilience` with a
-    ``san-sim-full`` degradation chain when the figure runs on
-    ``san-sim``.
-
-    ``executor`` selects the in-process execution substrate both runs
-    use: ``"serial"`` (the default) or ``"queue"`` (with ``queue_dir``;
-    each run gets its own sub-queue under ``<queue_dir>/clean`` and
-    ``<queue_dir>/faulted`` so the faulted run cannot coalesce against
-    the clean run's results — that would prove nothing). ``"pool"`` is
-    rejected: pooled workers cannot ship their resilience event logs
-    back to the parent, and the comparison depends on the event record
-    to prove faults actually fired. Custom (non-sweep) figures are
-    rejected — there is no point-level evaluation to afflict.
+    ``--scale``. ``crash`` / ``hang`` / ``hang_seconds`` / ``salt``
+    build the :meth:`FaultPlan.sampled` plan of the faulted run;
+    ``deadline`` is its ``point_timeout`` (it must be well below
+    ``hang_seconds`` for a hang to be killed) and ``retries`` its
+    :class:`RetryPolicy` (no backoff: a chaos run should spend its
+    wall clock simulating, not sleeping). Custom (non-sweep) figures
+    are rejected — there is no point-level evaluation to afflict.
 
     When ``out_dir`` is given, both archives (and their manifests) are
     saved under ``<out_dir>/clean`` and ``<out_dir>/faulted``.
     """
-    if executor == "pool":
-        raise ValueError(
-            "chaos cannot run on the pool executor: pooled workers do "
-            "not ship their resilience event logs back to the parent; "
-            "use 'serial' or 'queue'"
-        )
     try:
         spec = FIGURE_SPECS[figure_id]
     except KeyError:
@@ -248,7 +207,7 @@ def run_chaos(
     if spec.custom is not None:
         raise ValueError(
             f"figure {figure_id!r} is a custom (non-sweep) figure and "
-            "cannot run under backend chaos"
+            "cannot run under chaos"
         )
     backend = spec.backend
     points = list(spec.points())
@@ -257,22 +216,13 @@ def run_chaos(
             raise ValueError(f"max_points must be >= 1, got {max_points}")
         points = points[:max_points]
     plan = _scaled_plan(preset, scale)
+    fault_plan = FaultPlan.sampled(
+        len(points), crash=crash, hang=hang, hang_seconds=hang_seconds,
+        salt=salt,
+    )
 
-    if fault_plan is None:
-        fault_plan = BackendFaultPlan(
-            backend_id=backend, crash_fraction=0.5, crash_attempts=None
-        )
-    if options is None:
-        degrade_to = ("san-sim-full",) if backend == "san-sim" else ()
-        options = default_chaos_resilience(
-            backend, fault_plan, degrade_to=degrade_to
-        )
-    elif options.fault_plan is None:
-        options = replace(options, fault_plan=fault_plan)
-
-    def _run(label: str, backend_resilience) -> FigureResult:
-        reset_breakers()
-        resilience_events.drain()
+    def _run(label: str, processes: Optional[int],
+             resilience: ResilienceOptions) -> FigureResult:
         figure = run_sweep(
             figure_id,
             spec.title,
@@ -281,22 +231,24 @@ def run_chaos(
             points,
             plan,
             seed=seed,
-            processes=None,
-            resilience=ResilienceOptions(
-                backend_resilience=backend_resilience
-            ),
+            processes=processes,
+            resilience=resilience,
             backend=backend,
-            executor=executor,
-            queue_dir=(
-                os.path.join(queue_dir, label) if queue_dir is not None else None
-            ),
         )
         if out_dir is not None:
             save_figure(figure, os.path.join(out_dir, label))
         return figure
 
-    clean = _run("clean", None)
-    faulted = _run("faulted", options)
+    clean = _run("clean", None, ResilienceOptions())
+    faulted = _run(
+        "faulted",
+        CHAOS_PROCESSES,
+        ResilienceOptions(
+            retry=RetryPolicy(max_retries=retries, backoff_base=0.0),
+            point_timeout=deadline,
+            fault_plan=fault_plan,
+        ),
+    )
 
     bit_identical = clean.series == faulted.series
     discrepancies = [
@@ -324,13 +276,8 @@ def run_chaos(
                     f" > band {band:.4g}"
                 )
 
-    section = (faulted.manifest.resilience or {}) if faulted.manifest else {}
-    summary = section.get("summary") or {}
-    by_kind = dict(summary.get("by_kind") or {})
-    degraded = list(summary.get("degraded") or [])
-    fault_kinds = {"retry", "deadline_kill", "failure", "breaker", "degraded"}
-    faults_fired = any(by_kind.get(kind, 0) > 0 for kind in fault_kinds)
-
+    manifest = faulted.manifest
+    execution = (manifest.execution or {}) if manifest else {}
     return ChaosOutcome(
         figure_id=figure_id,
         points=len(points),
@@ -338,13 +285,18 @@ def run_chaos(
         bit_identical=bit_identical,
         discrepancies=discrepancies,
         band_violations=band_violations,
-        events_by_kind=by_kind,
-        degraded=degraded,
-        faults_fired=faults_fired,
+        retries=manifest.retries if manifest else 0,
+        failed_points=manifest.failed_points if manifest else 0,
+        timeouts=int(execution.get("timeouts", 0)),
+        attempts={
+            index: count
+            for index, count in (execution.get("attempts") or {}).items()
+            if count > 1
+        },
         clean_wall_clock=(
             clean.manifest.wall_clock_seconds if clean.manifest else 0.0
         ),
         faulted_wall_clock=(
-            faulted.manifest.wall_clock_seconds if faulted.manifest else 0.0
+            manifest.wall_clock_seconds if manifest else 0.0
         ),
     )

@@ -18,13 +18,10 @@ plus journal-corruption helpers (:func:`corrupt_journal_tail`,
 :func:`corrupt_journal_line`, :func:`truncate_journal`) that model a
 torn write or bit rot in the checkpoint file itself.
 
-:class:`BackendFaultPlan` is the *backend-level* counterpart, applied
-by :class:`~repro.resilience.backend.ResilientBackend` around every
-evaluation attempt: raise / hang / slow / corrupt-result faults,
-deterministic by evaluation key (a seed-free request digest, see
-:func:`~repro.resilience.backend.evaluation_key`) and attempt number.
-The ``repro chaos`` CLI subcommand runs a figure under one and
-asserts the archive still matches a clean run.
+:meth:`FaultPlan.sampled` draws crash and hang points at given
+fractions from stable hashes; the ``repro chaos`` CLI subcommand runs
+a figure under such a plan and asserts the archive still matches a
+clean run.
 
 Everything here is picklable: the plans ride into worker processes
 inside the task arguments.
@@ -34,13 +31,11 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 __all__ = [
-    "BackendFaultPlan",
     "FaultPlan",
-    "InjectedBackendFault",
     "InjectedCrash",
     "SweepAborted",
     "corrupt_journal_line",
@@ -51,10 +46,6 @@ __all__ = [
 
 class InjectedCrash(RuntimeError):
     """An artificial worker failure raised by a :class:`FaultPlan`."""
-
-
-class InjectedBackendFault(RuntimeError):
-    """An artificial backend failure raised by a :class:`BackendFaultPlan`."""
 
 
 class SweepAborted(RuntimeError):
@@ -88,6 +79,37 @@ class FaultPlan:
     abort_after: Optional[int] = None
 
     # -- construction helpers (chainable) ------------------------------
+    @classmethod
+    def sampled(
+        cls,
+        n_points: int,
+        crash: float = 0.0,
+        hang: float = 0.0,
+        hang_seconds: float = 3600.0,
+        salt: str = "",
+    ) -> "FaultPlan":
+        """A plan afflicting a deterministic share of ``n_points``.
+
+        Point ``i`` crashes when the hash of ``(salt, "crash", i)``
+        falls below ``crash`` and hangs for ``hang_seconds`` when the
+        hash of ``(salt, "hang", i)`` falls below ``hang``, both on
+        attempt 0 only — so one retry recovers every afflicted point.
+        The same arguments pick the same points in every run and
+        process; vary ``salt`` to draw another pattern.
+        """
+        for name, fraction in (("crash", crash), ("hang", hang)):
+            if not 0.0 <= fraction <= 1.0:
+                raise ValueError(
+                    f"{name} fraction must be in [0, 1], got {fraction}"
+                )
+        plan = cls(hang_seconds=float(hang_seconds))
+        for index in range(n_points):
+            if _unit_interval(f"fault/{salt}/crash/{index}") < crash:
+                plan.crash(index)
+            if _unit_interval(f"fault/{salt}/hang/{index}") < hang:
+                plan.hang(index)
+        return plan
+
     def crash(self, index: int, attempts: Sequence[int] = (0,)) -> "FaultPlan":
         """Crash the given point on the given attempt numbers."""
         self.crashes[index] = tuple(attempts)
@@ -132,123 +154,6 @@ def _unit_interval(token: str) -> float:
     """A deterministic value in ``[0, 1)`` hashed from ``token``."""
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little") / 2**64
-
-
-@dataclass
-class BackendFaultPlan:
-    """A deterministic schedule of *backend-level* injected faults.
-
-    Applied by :class:`~repro.resilience.backend.ResilientBackend`
-    around each evaluation attempt via :meth:`before_evaluate` /
-    :meth:`after_evaluate`. Whether a given evaluation is afflicted is
-    decided by hashing ``(salt, fault kind, evaluation key)`` into
-    ``[0, 1)`` and comparing against the configured fraction — the
-    same request is afflicted identically in every run, every process,
-    and (because the evaluation key excludes the seed) every retry
-    attempt, while distinct requests are afflicted independently.
-
-    Attributes
-    ----------
-    backend_id:
-        Only afflict this backend id (``None`` afflicts every
-        backend). Pinning the plan to the primary backend while the
-        degradation chain falls back to an unafflicted one is how the
-        chaos smoke stays value-preserving.
-    crash_fraction / crash_attempts:
-        Fraction of evaluations that raise
-        :class:`InjectedBackendFault`, on the listed attempt numbers
-        (``None`` = every attempt, the "permanently broken" shape that
-        forces degradation).
-    hang_fraction / hang_attempts / hang_seconds:
-        Fraction of evaluations that sleep ``hang_seconds`` before
-        evaluating — past the deadline this models a genuine hang the
-        supervisor must kill; below it, a slow-but-successful call.
-    slow_fraction / slow_seconds:
-        Fraction of evaluations delayed by ``slow_seconds`` (latency
-        injection that should *not* trip anything when the deadline is
-        sized sanely).
-    corrupt_fraction / corrupt_attempts / corrupt_factor:
-        Fraction of evaluations whose *result* is corrupted: every
-        metric mean is multiplied by ``corrupt_factor``. The result
-        still reports success — only a downstream tolerance check can
-        catch it, which is exactly what the chaos comparison is for.
-    salt:
-        Folded into every affliction hash; vary it to draw a different
-        deterministic fault pattern at the same fractions.
-    """
-
-    backend_id: Optional[str] = None
-    crash_fraction: float = 0.0
-    crash_attempts: Optional[Tuple[int, ...]] = None
-    hang_fraction: float = 0.0
-    hang_attempts: Optional[Tuple[int, ...]] = None
-    hang_seconds: float = 3600.0
-    slow_fraction: float = 0.0
-    slow_seconds: float = 0.0
-    corrupt_fraction: float = 0.0
-    corrupt_attempts: Optional[Tuple[int, ...]] = (0,)
-    corrupt_factor: float = 10.0
-    salt: str = ""
-
-    def __post_init__(self) -> None:
-        for name in ("crash_fraction", "hang_fraction", "slow_fraction",
-                     "corrupt_fraction"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        for name in ("crash_attempts", "hang_attempts", "corrupt_attempts"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, tuple(int(a) for a in value))
-
-    # -- affliction decisions ------------------------------------------
-    def _afflicted(self, kind: str, fraction: float, key: str) -> bool:
-        if fraction <= 0.0:
-            return False
-        return _unit_interval(f"{self.salt}/{kind}/{key}") < fraction
-
-    def _applies(self, backend_id: str, attempt: int,
-                 attempts: Optional[Tuple[int, ...]]) -> bool:
-        if self.backend_id is not None and backend_id != self.backend_id:
-            return False
-        return attempts is None or attempt in attempts
-
-    # -- hooks ----------------------------------------------------------
-    def before_evaluate(self, backend_id: str, key: str, attempt: int) -> None:
-        """Pre-evaluation hook: inject latency, hangs and crashes.
-
-        Runs *inside* the isolated child process when subprocess
-        isolation is on, so an injected hang is killable exactly like
-        a real one.
-        """
-        if (self._applies(backend_id, attempt, None)
-                and self._afflicted("slow", self.slow_fraction, key)
-                and self.slow_seconds > 0):
-            time.sleep(self.slow_seconds)
-        if (self._applies(backend_id, attempt, self.hang_attempts)
-                and self._afflicted("hang", self.hang_fraction, key)):
-            time.sleep(self.hang_seconds)
-        if (self._applies(backend_id, attempt, self.crash_attempts)
-                and self._afflicted("crash", self.crash_fraction, key)):
-            raise InjectedBackendFault(
-                f"injected backend crash on {backend_id!r} "
-                f"(attempt {attempt}, key {key[:12]})"
-            )
-
-    def after_evaluate(self, backend_id: str, key: str, attempt: int, result):
-        """Post-evaluation hook: corrupt the result's metric means."""
-        if not (self._applies(backend_id, attempt, self.corrupt_attempts)
-                and self._afflicted("corrupt", self.corrupt_fraction, key)):
-            return result
-        corrupted = {
-            name: replace(value, mean=value.mean * self.corrupt_factor)
-            for name, value in result.metrics.items()
-        }
-        result.metrics = corrupted
-        result.notes = list(result.notes) + [
-            f"injected result corruption (x{self.corrupt_factor:g})"
-        ]
-        return result
 
 
 # ----------------------------------------------------------------------

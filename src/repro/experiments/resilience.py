@@ -2,8 +2,8 @@
 
 The paper this repository reproduces models systems that survive
 failures by periodically persisting partial state; this module makes
-the *harness itself* practice that discipline. It provides the three
-pieces :func:`~repro.experiments.runner.run_sweep` composes:
+the *harness itself* practice that discipline. It provides the pieces
+:func:`~repro.experiments.runner.run_sweep` composes:
 
 * :class:`CheckpointJournal` — an append-only, fsync'd JSON-lines file
   holding one record per completed sweep point. An interrupted sweep
@@ -13,24 +13,26 @@ pieces :func:`~repro.experiments.runner.run_sweep` composes:
   (the harness-level analogue of a failure *during* checkpointing) are
   detected and truncated back to the last intact record.
 
-* :class:`SweepSupervisor` — the retry/journal *policy* layer. It
-  drives any :class:`~repro.exec.base.Executor` (serial, process
-  pool, persistent queue — see :mod:`repro.exec`): each point is
-  retried up to ``RetryPolicy.max_retries`` times with exponential
-  backoff (each retry on a freshly derived seed stream so a poisoned
-  sample path is not replayed), and a point that exhausts its retries
-  is recorded as a structured :class:`FailureReport` instead of
-  aborting the sweep. Hang detection and pool-death degradation live
-  in the executors themselves.
+* :class:`SweepSupervisor` — the one retry layer. It drives any
+  :class:`~repro.exec.base.Executor` (serial, process pool, persistent
+  queue — see :mod:`repro.exec`): each point is retried up to
+  ``RetryPolicy.max_retries`` times with exponential backoff, and a
+  point that exhausts its retries is recorded as a structured
+  :class:`FailureReport` instead of aborting the sweep. Hang detection
+  (``point_timeout``) and pool-death degradation live in the executors
+  themselves.
 
 * :class:`ResilienceOptions` / :class:`RetryPolicy` — the
   configuration threaded from the CLI (``--resume``, ``--retries``,
   ``--point-timeout``, ...) down to the executive.
 
 Determinism contract: a point's outcome depends only on its
-``(params, plan, seed)``; the seed of attempt ``k`` is a stable hash
-of ``(base_seed, k)``. Scheduling, pool size, resume and injected
-faults therefore never change the *values* of points that succeed.
+``(params, plan, seed)``, and a retry replays its point's own seed.
+Scheduling, pool size, resume, retries and injected faults therefore
+never change the *values* of points that succeed: a recovered point
+is bit-identical to an unfaulted one, and a failure that is
+deterministic at its seed stays a loud :class:`FailureReport` rather
+than being resampled away.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ from ..exec.base import Executor, ExecutorError
 from ..exec.pool import PoolExecutor, shutdown_pool
 from ..exec.serial import SerialExecutor
 from ..exec.task import EvaluationTask, Outcome, TaskResult, failure_payload
-from ..resilience.retry import RetryPolicy, derive_attempt_seed
 
 __all__ = [
+    "BACKOFF_MAX_SECONDS",
     "CheckpointError",
     "CheckpointJournal",
     "FailureReport",
@@ -58,12 +60,47 @@ __all__ = [
     "RetryPolicy",
     "SupervisorResult",
     "SweepSupervisor",
-    "derive_attempt_seed",
     "failure_payload",
 ]
 
 #: Journal key of a point.
 PointKey = Tuple[str, float]
+
+
+#: Backoff grows by this factor per retry ...
+BACKOFF_FACTOR = 2.0
+#: ... and is capped at this many seconds.
+BACKOFF_MAX_SECONDS = 30.0
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """How often a failed or hung point is retried, and how long the
+    supervisor waits first.
+
+    ``delay_for(k)`` is the backoff slept before retry ``k`` (1-based):
+    ``backoff_base * 2 ** (k - 1)``, capped at
+    :data:`BACKOFF_MAX_SECONDS`. Every retry replays the point's own
+    seed; the policy decides only *whether* and *when*.
+    """
+
+    max_retries: int = 2
+    backoff_base: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if self.backoff_base < 0:
+            raise ValueError(f"backoff_base must be >= 0, got {self.backoff_base}")
+
+    def delay_for(self, attempt: int) -> float:
+        """Backoff (seconds) before the given retry attempt (>= 1)."""
+        if attempt < 1:
+            return 0.0
+        return min(
+            BACKOFF_MAX_SECONDS,
+            self.backoff_base * BACKOFF_FACTOR ** (attempt - 1),
+        )
 
 
 class CheckpointError(RuntimeError):
@@ -110,16 +147,12 @@ class ResilienceOptions:
         The per-point retry/backoff policy.
     point_timeout:
         Wall-clock seconds one point attempt may run before the
-        supervisor declares it hung. The pool executor enforces it
-        preemptively (the hung worker is killed); in-process
-        executors (serial, queue) enforce it cooperatively by
-        tightening the simulation's wall-clock budget, which a note
-        on the figure records.
-    wall_clock_budget:
-        Per-replication real-time budget forwarded into
-        :class:`~repro.core.simulation.SimulationPlan`; a run that
-        exceeds it raises inside the worker and goes through the
-        normal retry path.
+        supervisor declares it hung — the only time bound. The pool
+        executor enforces it preemptively (the hung worker is
+        killed); in-process executors (serial, queue) enforce it
+        cooperatively by tightening the simulation's wall-clock
+        budget, which a note on the figure records. Either way the
+        attempt fails and goes through the normal retry path.
     fault_plan:
         Optional :class:`~repro.experiments.faultinject.FaultPlan`
         used by the tests and the CI smoke job to inject worker
@@ -132,25 +165,14 @@ class ResilienceOptions:
         unlike the journal (scoped to one sweep configuration), the
         cache is shared across figures, seeds and runs. ``None``
         disables caching.
-    backend_resilience:
-        Optional
-        :class:`~repro.resilience.backend.BackendResilienceOptions`;
-        when set, every worker wraps its evaluation backend in a
-        :class:`~repro.resilience.backend.ResilientBackend` (per-
-        attempt deadlines, seed-deriving retries, circuit breaker,
-        degradation chain, backend-level fault injection). Retried or
-        degraded results are never written to the result cache — only
-        what a clean run would produce may be reused.
     """
 
     checkpoint_dir: Optional[str] = None
     resume: bool = True
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     point_timeout: Optional[float] = None
-    wall_clock_budget: Optional[float] = None
     fault_plan: Optional[Any] = None
     cache_dir: Optional[str] = None
-    backend_resilience: Optional[Any] = None
 
 
 @dataclass
@@ -455,8 +477,8 @@ class SweepSupervisor:
     over any executor.
 
     The supervisor owns *policy* — which attempt to run next, when a
-    failed attempt may retry (exponential backoff on a fresh derived
-    seed), when a point is declared failed for good — and delegates
+    failed attempt may retry (exponential backoff, same seed), when a
+    point is declared failed for good — and delegates
     *mechanism* (processes, hang preemption, persistence, dedup) to
     an :class:`~repro.exec.base.Executor`.
 
@@ -554,7 +576,6 @@ class SweepSupervisor:
                 processes=self.processes,
                 point_timeout=options.point_timeout,
                 fault_plan=options.fault_plan,
-                backend_resilience=options.backend_resilience,
                 clock=self._clock,
                 sleep=self._sleep,
                 pool_factory=self._pool_factory,
@@ -563,7 +584,6 @@ class SweepSupervisor:
         return SerialExecutor(
             point_timeout=options.point_timeout,
             fault_plan=options.fault_plan,
-            backend_resilience=options.backend_resilience,
             run_task=self._run_task,
         )
 
@@ -635,9 +655,7 @@ class SweepSupervisor:
         result.outcomes[task.index] = outcome
         result.attempts[task.index] = attempt + 1
         if self.on_success is not None:
-            self.on_success(
-                task, outcome, attempt, derive_attempt_seed(task.base_seed, attempt)
-            )
+            self.on_success(task, outcome, attempt, task.seed)
 
     def _record_attempt_failure(
         self,

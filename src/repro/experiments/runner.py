@@ -10,7 +10,8 @@ x-grid and one series of y-values per curve.
 Execution is fault tolerant (see :mod:`repro.experiments.resilience`):
 with a ``checkpoint_dir`` every completed point is journaled and an
 interrupted sweep resumes bit-identically; failed or hung points are
-retried with exponential backoff and, if they never succeed, reported
+retried on their own seed with exponential backoff and, if they never
+succeed, reported
 as structured :class:`~repro.experiments.resilience.FailureReport`
 entries on the figure instead of aborting the other points. With a
 ``cache_dir`` every evaluated point is also stored in a
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..backends import (
@@ -152,7 +153,6 @@ def _resolve_executor(
                 processes=processes,
                 point_timeout=options.point_timeout,
                 fault_plan=options.fault_plan,
-                backend_resilience=options.backend_resilience,
                 queue_dir=queue_dir,
             ),
             True,
@@ -184,8 +184,8 @@ def build_sweep_tasks(
     """The :class:`~repro.exec.EvaluationTask` list for a sweep.
 
     One task per point not already answered in ``skip_keys``, seeded
-    ``seed + index`` (the historical per-point convention the retry
-    derivation builds on). This is the single construction recipe for
+    ``seed + index`` (the historical per-point convention; retries
+    replay it). This is the single construction recipe for
     the in-process sweep (:func:`run_sweep`) and the service-mode job
     API (:mod:`repro.service.jobs`), so both submit byte-identical
     work and coalesce on the same cache keys.
@@ -289,7 +289,7 @@ def run_sweep(
     or ``"total_useful_work"`` (the latter scales the fraction by the
     point's processor count). Point ``i`` uses seed ``seed + i`` so a
     sweep is reproducible and points are independent; a retried point
-    uses a seed derived from ``(seed + i, attempt)``.
+    replays its own seed, so it is bit-identical to an unfaulted run.
 
     ``backend`` names the registered evaluation backend every point
     runs through (default ``"san-sim"``, the full SAN simulation);
@@ -325,15 +325,6 @@ def run_sweep(
     reg.counter("sweep.runs").inc()
 
     options = resilience or ResilienceOptions()
-    if options.wall_clock_budget is not None:
-        plan = replace(plan, wall_clock_budget=options.wall_clock_budget)
-    if options.backend_resilience is not None:
-        # Discard events a previously interrupted run may have left so
-        # this run's manifest records only its own story.
-        from ..resilience import events as resilience_events
-
-        resilience_events.drain()
-
     eval_plan = sweep_eval_plan(metric, plan, seed)
     base_metric = eval_plan.metrics[0]
     backend_obj = _check_backend(backend, metric, points, eval_plan)
@@ -497,42 +488,6 @@ def run_sweep(
     for label in figure.series:
         figure.series[label].sort(key=lambda p: p[0])
 
-    # Backend-level resilience bookkeeping: drain the structured event
-    # log (serial sweeps see every event; pooled workers keep theirs,
-    # which is noted rather than papered over) into the figure notes
-    # and the manifest's resilience section.
-    resilience_section: Optional[Dict[str, object]] = None
-    if options.backend_resilience is not None:
-        from ..resilience import events as resilience_events
-
-        res_events = resilience_events.drain()
-        summary = resilience_events.summarize(res_events)
-        resilience_section = {
-            "events": res_events,
-            "summary": summary,
-        }
-        pooled = (
-            exec_instance.capabilities.name == "pool"
-            if exec_instance is not None
-            else worker_count > 1
-        )
-        if pooled:
-            resilience_section["note"] = (
-                "pooled workers log resilience events in their own "
-                "processes; this section covers supervisor-side events only"
-            )
-        # ``figure.notes`` is the same list object as ``notes``.
-        for stamp in sorted(set(summary.get("degraded", []))):
-            notes.append(f"DEGRADED: {stamp}")
-        by_kind = summary.get("by_kind", {})
-        if by_kind:
-            notes.append(
-                "backend resilience: "
-                + ", ".join(
-                    f"{kind}={count}" for kind, count in sorted(by_kind.items())
-                )
-            )
-
     new_evaluations = len(supervised.outcomes)
     retries = sum(
         max(0, attempts - 1) for attempts in supervised.attempts.values()
@@ -582,7 +537,6 @@ def run_sweep(
         metrics=reg.snapshot(),
         trace=sink.summary() if isinstance(sink, JsonlTraceSink) else None,
         wall_clock_seconds=wall_clock,
-        resilience=resilience_section,
         execution=execution_section,
         notes=list(notes),
     )

@@ -80,8 +80,8 @@ class RunManifest:
     metric:
         The y-axis metric requested.
     seed:
-        Root random seed; per-point and per-retry derivation is
-        recorded in ``seed_policy``.
+        Root random seed; the per-point convention is recorded in
+        ``seed_policy``.
     plan:
         The simulation plan as a plain dictionary (warmup,
         observation, replications, confidence, kernel).
@@ -110,23 +110,16 @@ class RunManifest:
         configuration (the ``to_json_dict`` of a
         :class:`~repro.validate.report.ValidationReport`); ``None``
         when no validation accompanied the run.
-    resilience:
-        Optional record of backend-level resilience activity (see
-        :mod:`repro.resilience.events`): the structured event list —
-        every deadline kill, retry, breaker transition and
-        ``degraded_from`` stamp — plus a by-kind summary. ``None``
-        when the run did not use a resilient backend wrapper. The
-        field is additive and optional, so the schema version is
-        unchanged: old manifests load as ``None``, and readers that
-        predate it simply ignore the key.
     execution:
         Optional record of how the run's tasks were executed (see
         :mod:`repro.exec`): the executor id, tasks executed, coalesced
         submissions and queue depth high-water (queue executor),
         timeouts and pool restarts (pool executor), plus the
-        per-point attempt counts. Additive and optional exactly like
-        ``resilience``: the schema version is unchanged, old
-        manifests load as ``None``.
+        per-point attempt counts. Additive and optional: the schema
+        version is unchanged, old manifests load as ``None``.
+
+    Manifests written before the backend resilience layer was removed
+    may carry a ``resilience`` key; loading ignores it.
     """
 
     figure_id: str
@@ -134,9 +127,7 @@ class RunManifest:
     backend_version: Optional[int] = None
     metric: str = ""
     seed: int = 0
-    seed_policy: str = (
-        "point i uses seed+i; retry k uses stable_stream_key('retry/<seed>/<k>')"
-    )
+    seed_policy: str = "point i uses seed+i; a retry replays its point's seed"
     preset: Optional[str] = None
     plan: Dict[str, Any] = field(default_factory=dict)
     points_total: int = 0
@@ -150,7 +141,6 @@ class RunManifest:
     trace: Optional[Dict[str, Any]] = None
     wall_clock_seconds: float = 0.0
     validation: Optional[Dict[str, Any]] = None
-    resilience: Optional[Dict[str, Any]] = None
     execution: Optional[Dict[str, Any]] = None
     notes: List[str] = field(default_factory=list)
     schema_version: int = MANIFEST_SCHEMA_VERSION
@@ -186,7 +176,6 @@ class RunManifest:
             "trace": self.trace,
             "wall_clock_seconds": self.wall_clock_seconds,
             "validation": self.validation,
-            "resilience": self.resilience,
             "execution": self.execution,
             "notes": list(self.notes),
         }
@@ -230,7 +219,6 @@ class RunManifest:
                 trace=payload.get("trace"),
                 wall_clock_seconds=float(payload.get("wall_clock_seconds", 0.0)),
                 validation=payload.get("validation"),
-                resilience=payload.get("resilience"),
                 execution=payload.get("execution"),
                 notes=[str(note) for note in payload.get("notes", [])],
                 schema_version=MANIFEST_SCHEMA_VERSION,
@@ -353,18 +341,6 @@ def render_manifest(manifest: RunManifest) -> str:
             f"{differential.get('cases', 0)} differential case(s), "
             f"{differential.get('disagreements', 0)} disagreement(s))"
         )
-    if manifest.resilience:
-        summary = manifest.resilience.get("summary") or {}
-        by_kind = summary.get("by_kind") or {}
-        shown = ", ".join(
-            f"{kind}={count}" for kind, count in sorted(by_kind.items())
-        )
-        lines.append(
-            f"  resilience: {len(manifest.resilience.get('events') or [])} "
-            f"event(s)" + (f" ({shown})" if shown else "")
-        )
-        for stamp in summary.get("degraded") or []:
-            lines.append(f"  degraded: {stamp}")
     if manifest.execution:
         execution = manifest.execution
         line = (

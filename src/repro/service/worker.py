@@ -9,10 +9,13 @@ contract:
    stopped heartbeating are requeued);
 2. claim the first pending file by atomic rename (losing the race to
    a sibling worker just means trying the next file);
-3. execute the task through the standard resilience-wrapped
+3. execute the task through the standard
    :func:`~repro.exec.task.execute_task` while an
    :class:`~repro.exec.InflightLease` heartbeats the claim, so
-   however slow the point is, no other janitor steals it;
+   however slow the point is, no other janitor steals it; a failed
+   attempt is retried in place under the sweep's
+   :class:`~repro.experiments.resilience.RetryPolicy`, on the same
+   seed;
 4. store an ok result in ``results/<key>.json`` (the same store
    executors and the job API read), drop the claim, and append one
    line to the worker's evaluation log.
@@ -27,7 +30,8 @@ between tasks, so the current task always finishes, its result is
 stored, and the claim is released before the process exits — a
 drained SIGTERM never creates an orphan for the janitor to recover.
 
-Accounting: each executed task increments
+Accounting: each executed task (however many attempts it took)
+increments
 ``tenant.<label>.evaluated`` or ``.failed`` (the tenant comes from
 the job records next to the queue; tasks submitted outside any job
 count under ``anonymous``), and the worker persists its metrics
@@ -42,7 +46,7 @@ import json
 import os
 import signal
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from ..exec import InflightLease, TaskError, TaskResult
 from ..exec.queue import (
@@ -54,6 +58,9 @@ from ..exec.queue import (
 from ..exec.task import EvaluationTask, execute_task
 from ..obs import metrics as obs_metrics
 from .jobs import write_metrics_snapshot
+
+if TYPE_CHECKING:  # the experiments layer is not imported at runtime
+    from ..experiments.resilience import RetryPolicy
 
 __all__ = ["ServiceWorker"]
 
@@ -79,8 +86,13 @@ class ServiceWorker:
         Exit after executing this many tasks (``None`` = unlimited).
     orphan_age:
         Lease threshold shared by the janitor and the heartbeat.
-    point_timeout / backend_resilience:
-        Passed through to :func:`~repro.exec.task.execute_task`.
+    point_timeout:
+        Cooperative per-attempt deadline, passed through to
+        :func:`~repro.exec.task.execute_task`.
+    retry:
+        :class:`~repro.experiments.resilience.RetryPolicy` for failed
+        attempts, retried in place on the task's own seed (``None``:
+        one attempt).
     run_task / clock / sleep:
         Test seams.
     """
@@ -94,7 +106,7 @@ class ServiceWorker:
         max_tasks: Optional[int] = None,
         orphan_age: float = INFLIGHT_SWEEP_AGE_SECONDS,
         point_timeout: Optional[float] = None,
-        backend_resilience: Optional[Any] = None,
+        retry: Optional["RetryPolicy"] = None,
         run_task: Optional[Callable[..., TaskResult]] = None,
         clock: Callable[[], float] = time.time,
         sleep: Callable[[float], None] = time.sleep,
@@ -106,7 +118,7 @@ class ServiceWorker:
         self.max_tasks = max_tasks
         self.orphan_age = orphan_age
         self.point_timeout = point_timeout
-        self.backend_resilience = backend_resilience
+        self.retry = retry
         self._run_task = run_task or execute_task
         self._clock = clock
         self._sleep = sleep
@@ -216,9 +228,7 @@ class ServiceWorker:
             return
         key = task.cache_key()
         with InflightLease(claimed, self.orphan_age, self._clock):
-            result = self._run_task(
-                task, None, self.backend_resilience, self.point_timeout
-            )
+            result = self._run_with_retries(task)
         self.executed += 1
         tenant = self._tenant_of(key)
         reg = obs_metrics.registry()
@@ -241,6 +251,21 @@ class ServiceWorker:
         except OSError:
             pass
         self._snapshot()
+
+    def _run_with_retries(self, task: EvaluationTask) -> TaskResult:
+        """Run one task, retrying a failed attempt in place on the same
+        seed until it succeeds or the retry policy is exhausted."""
+        max_retries = self.retry.max_retries if self.retry is not None else 0
+        for retry in range(max_retries + 1):
+            if retry:
+                self._sleep(self.retry.delay_for(retry))
+            result = self._run_task(
+                task.with_attempt(task.attempt + retry), None,
+                self.point_timeout,
+            )
+            if result.ok:
+                break
+        return result
 
     def run(self) -> int:
         """Drain until signalled / idle-exit / max-tasks; returns the

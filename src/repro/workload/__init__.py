@@ -1,6 +1,5 @@
-"""The BSP application workload model and sweep generators."""
+"""The BSP application workload model."""
 
 from .bsp import BSPWorkload
-from .generator import apply_workload, random_workloads, workload_grid
 
-__all__ = ["BSPWorkload", "workload_grid", "random_workloads", "apply_workload"]
+__all__ = ["BSPWorkload"]

@@ -2,8 +2,8 @@
 
 The contract under test: an :class:`~repro.exec.EvaluationTask` is a
 picklable value object that round-trips through JSON under a versioned
-schema, derives its attempt seed the same way the retry layer does,
-and is content-addressed by exactly the digest the result cache files
+schema, runs every attempt under its point's own seed, and is
+content-addressed by exactly the digest the result cache files
 its entries under. :func:`~repro.exec.execute_task` never raises, and
 a cooperative deadline must never fork the cache key space.
 """
@@ -21,7 +21,6 @@ from repro.exec import (
     TaskResult,
     execute_task,
 )
-from repro.resilience.retry import derive_attempt_seed
 
 TINY_SIM = SimulationPlan(warmup=2 * HOUR, observation=20 * HOUR, replications=2)
 TINY = EvaluationPlan(simulation=TINY_SIM)
@@ -72,11 +71,13 @@ class TestEvaluationTask:
             EvaluationTask.from_json_dict(payload)
 
     def test_seed_derivation_matches_retry_layer(self):
+        # A retry replays the point's seed: the attempt number is
+        # bookkeeping only.
         task = make_task(attempt=0)
         assert task.seed == task.base_seed
         retried = task.with_attempt(3)
-        assert retried.seed == derive_attempt_seed(task.base_seed, 3)
-        assert retried.seed != task.seed
+        assert retried.seed == task.base_seed
+        assert retried.seeded_plan() == task.seeded_plan()
 
     def test_cache_key_matches_result_cache(self, tmp_path):
         # The queue's "same work" and the cache's "same entry" must be
@@ -87,10 +88,11 @@ class TestEvaluationTask:
         expected = cache.key(backend, task.params, task.seeded_plan())
         assert task.cache_key() == expected
 
-    def test_cache_key_differs_per_attempt(self):
-        # A retry runs under a derived seed, so it is distinct work.
+    def test_cache_key_same_across_attempts(self):
+        # A retry is the same work again, so the queue coalesces it
+        # and the cache serves it from the one entry.
         task = make_task(attempt=0)
-        assert task.cache_key() != task.with_attempt(1).cache_key()
+        assert task.cache_key() == task.with_attempt(1).cache_key()
 
 
 class TestTaskResult:

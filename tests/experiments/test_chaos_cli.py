@@ -1,28 +1,16 @@
 """The ``repro chaos`` subcommand: end-to-end recovery and its error
 contracts.
 
-The smoke run uses a heavily scaled-down fig4a slice (4 points, 5% of
-the quick preset) so the clean+faulted pair completes in a couple of
-seconds; the crash fraction is high enough that at least one injected
-fault is statistically certain to fire across the four evaluation
-keys.
+The smoke runs use a heavily scaled-down fig4a slice (4 points, 5% of
+the quick preset): the clean run is serial, the faulted run goes
+through a two-process pool under a ``FaultPlan.sampled`` plan that
+afflicts points on their first attempt only, so one retry on the
+point's own seed must reproduce the clean archive bit for bit.
 """
 
-import pytest
+import json
 
 from repro.experiments import cli, run_chaos
-from repro.experiments.faultinject import BackendFaultPlan
-from repro.resilience import events, reset_breakers
-
-
-@pytest.fixture(autouse=True)
-def _isolate_global_state():
-    reset_breakers()
-    events.drain()
-    yield
-    reset_breakers()
-    events.drain()
-
 
 SMOKE_ARGS = [
     "chaos",
@@ -44,11 +32,8 @@ SMOKE_ARGS = [
 
 class TestChaosSmoke:
     def test_crash_plan_recovers_bit_identically(self, tmp_path, capsys):
-        state_dir = str(tmp_path / "health")
         out_dir = str(tmp_path / "chaos-out")
-        rc = cli.main(
-            SMOKE_ARGS + ["--state-dir", state_dir, "--out", out_dir]
-        )
+        rc = cli.main(SMOKE_ARGS + ["--out", out_dir])
         captured = capsys.readouterr()
         assert rc == 0
         assert "verdict: RECOVERED" in captured.out
@@ -57,57 +42,45 @@ class TestChaosSmoke:
         assert (tmp_path / "chaos-out" / "clean").is_dir()
         assert (tmp_path / "chaos-out" / "faulted").is_dir()
 
-    def test_backends_renders_breaker_state_after_chaos(
+    def test_crash_and_hang_on_pool_recover_bit_identically(
         self, tmp_path, capsys
     ):
-        state_dir = str(tmp_path / "health")
-        rc = cli.main(SMOKE_ARGS + ["--state-dir", state_dir])
-        assert rc == 0
-        capsys.readouterr()
-        rc = cli.main(["backends", "--state-dir", state_dir])
+        # At the default salt, --crash 0.9 afflicts points 0-2 and
+        # --hang 0.2 hangs point 2: the pool must kill that worker at
+        # the deadline and the retries must replay each point's seed.
+        out_dir = tmp_path / "chaos-out"
+        rc = cli.main([
+            "chaos", "fig4a", "--preset", "quick", "--scale", "0.05",
+            "--max-points", "4", "--crash", "0.9", "--hang", "0.2",
+            "--hang-seconds", "120", "--deadline", "5", "--retries", "1",
+            "--out", str(out_dir),
+        ])
         captured = capsys.readouterr()
         assert rc == 0
-        # A 0.9 crash fraction over 4 points trips the 3-consecutive
-        # chaos breaker on san-sim; the state file records it.
-        assert "breaker: open" in captured.out
-        assert "last error" in captured.out
+        assert "verdict: RECOVERED" in captured.out
+        assert "archives: bit-identical" in captured.out
+        assert "1 hung worker(s) killed" in captured.out
+        manifest = json.loads(
+            (out_dir / "faulted" / "fig4a.manifest.json").read_text()
+        )
+        assert manifest["points"]["retries"] == 3
+        assert manifest["points"]["failed"] == 0
+        assert manifest["execution"]["executor"] == "pool"
+        assert manifest["execution"]["timeouts"] == 1
+        assert manifest["execution"]["attempts"] == {
+            "0": 2, "1": 2, "2": 2, "3": 1,
+        }
 
 
 class TestChaosApi:
     def test_fault_free_plan_is_trivially_recovered(self):
         outcome = run_chaos(
-            "fig4a",
-            preset="quick",
-            scale=0.05,
-            max_points=2,
-            fault_plan=BackendFaultPlan(backend_id="san-sim", salt="quiet"),
+            "fig4a", preset="quick", scale=0.05, max_points=2, crash=0.0,
         )
         assert outcome.recovered
         assert outcome.bit_identical
-        assert outcome.faults_fired == 0
-
-    def test_queue_executor_uses_per_run_sub_queues(self, tmp_path):
-        # Clean and faulted runs must not coalesce against each other
-        # (identical cache keys!), so each gets its own sub-queue.
-        queue_dir = tmp_path / "queue"
-        outcome = run_chaos(
-            "fig4a",
-            preset="quick",
-            scale=0.05,
-            max_points=2,
-            fault_plan=BackendFaultPlan(backend_id="san-sim", salt="quiet"),
-            executor="queue",
-            queue_dir=str(queue_dir),
-        )
-        assert outcome.recovered
-        assert outcome.bit_identical
-        assert (queue_dir / "clean" / "results").is_dir()
-        assert (queue_dir / "faulted" / "results").is_dir()
-
-    def test_pool_executor_is_rejected(self):
-        with pytest.raises(ValueError, match="pool executor"):
-            run_chaos("fig4a", preset="quick", scale=0.05, max_points=2,
-                      executor="pool")
+        assert not outcome.faults_fired
+        assert outcome.retries == 0
 
 
 class TestChaosErrors:

@@ -5,9 +5,7 @@ import pickle
 import pytest
 
 from repro.experiments.faultinject import (
-    BackendFaultPlan,
     FaultPlan,
-    InjectedBackendFault,
     InjectedCrash,
     SweepAborted,
     _unit_interval,
@@ -64,84 +62,40 @@ class TestFaultPlan:
             clone.before_point(3, 1)
 
 
-def find_key(plan, kind, fraction, afflicted=True, limit=1000):
-    """Search for an evaluation key the plan does / does not afflict."""
-    for i in range(limit):
-        key = f"key-{i}"
-        if plan._afflicted(kind, fraction, key) == afflicted:
-            return key
-    raise AssertionError(f"no key with afflicted={afflicted} in {limit} tries")
-
-
-class TestBackendFaultPlan:
-    def test_affliction_is_deterministic_per_key(self):
-        plan = BackendFaultPlan(crash_fraction=0.5)
-        hot = find_key(plan, "crash", 0.5)
-        cold = find_key(plan, "crash", 0.5, afflicted=False)
-        for _ in range(3):
-            with pytest.raises(InjectedBackendFault):
-                plan.before_evaluate("san-sim", hot, attempt=0)
-            plan.before_evaluate("san-sim", cold, attempt=0)
+class TestSampledFaultPlan:
+    def test_affliction_is_deterministic_per_index(self):
+        plan = FaultPlan.sampled(64, crash=0.5, hang=0.5, hang_seconds=9.0)
+        again = FaultPlan.sampled(64, crash=0.5, hang=0.5, hang_seconds=9.0)
+        assert plan == again
+        # Roughly half of 64 points is afflicted per kind, not none or all.
+        assert 8 < len(plan.crashes) < 56
+        assert 8 < len(plan.hangs) < 56
+        assert plan.hang_seconds == 9.0
 
     def test_salt_redraws_the_pattern(self):
-        # At fraction 0.5 some key must flip its affliction when the
-        # salt changes; the hash stream is independent per salt.
-        salted = BackendFaultPlan(crash_fraction=0.5, salt="other")
-        flipped = any(
-            BackendFaultPlan(crash_fraction=0.5)._afflicted("crash", 0.5, key)
-            != salted._afflicted("crash", 0.5, key)
-            for key in (f"key-{i}" for i in range(64))
-        )
-        assert flipped
+        plain = FaultPlan.sampled(64, crash=0.5)
+        salted = FaultPlan.sampled(64, crash=0.5, salt="other")
+        assert set(plain.crashes) != set(salted.crashes)
 
-    def test_attempts_none_afflicts_every_attempt(self):
-        plan = BackendFaultPlan(crash_fraction=1.0, crash_attempts=None)
-        for attempt in (0, 1, 5):
-            with pytest.raises(InjectedBackendFault):
-                plan.before_evaluate("san-sim", "k", attempt)
-
-    def test_attempt_list_limits_the_fault(self):
-        plan = BackendFaultPlan(crash_fraction=1.0, crash_attempts=(0,))
-        with pytest.raises(InjectedBackendFault):
-            plan.before_evaluate("san-sim", "k", 0)
-        plan.before_evaluate("san-sim", "k", 1)  # retry escapes the fault
-
-    def test_backend_id_pinning(self):
-        plan = BackendFaultPlan(backend_id="san-sim", crash_fraction=1.0)
-        with pytest.raises(InjectedBackendFault):
-            plan.before_evaluate("san-sim", "k", 0)
-        plan.before_evaluate("san-sim-full", "k", 0)  # fallback untouched
-
-    def test_corruption_multiplies_means_and_notes(self):
-        from repro.backends import EvaluationResult, MetricValue
-
-        plan = BackendFaultPlan(corrupt_fraction=1.0, corrupt_factor=10.0)
-        result = EvaluationResult(
-            backend="stub",
-            metrics={"useful_work_fraction": MetricValue(0.5, 0.01)},
-        )
-        out = plan.after_evaluate("stub", "k", 0, result)
-        assert out.metric("useful_work_fraction").mean == pytest.approx(5.0)
-        assert out.metric("useful_work_fraction").half_width == pytest.approx(
-            0.01
-        )
-        assert any("corruption" in note for note in out.notes)
+    def test_faults_fire_on_first_attempt_only(self):
+        plan = FaultPlan.sampled(4, crash=1.0)
+        assert plan.crashes == {i: (0,) for i in range(4)}
+        with pytest.raises(InjectedCrash):
+            plan.before_point(2, 0)
+        plan.before_point(2, 1)  # the retry escapes the fault
 
     def test_fraction_validation(self):
-        with pytest.raises(ValueError, match="crash_fraction"):
-            BackendFaultPlan(crash_fraction=1.5)
-        with pytest.raises(ValueError, match="hang_fraction"):
-            BackendFaultPlan(hang_fraction=-0.1)
+        with pytest.raises(ValueError, match="crash"):
+            FaultPlan.sampled(4, crash=1.5)
+        with pytest.raises(ValueError, match="hang"):
+            FaultPlan.sampled(4, hang=-0.1)
 
     def test_plan_is_picklable_and_hooks_survive(self):
-        plan = BackendFaultPlan(
-            backend_id="san-sim", crash_fraction=1.0, crash_attempts=None,
-            salt="s",
-        )
+        plan = FaultPlan.sampled(8, crash=1.0, salt="s")
         clone = pickle.loads(pickle.dumps(plan))
         assert clone == plan
-        with pytest.raises(InjectedBackendFault):
-            clone.before_evaluate("san-sim", "k", 3)
+        with pytest.raises(InjectedCrash):
+            clone.before_point(3, 0)
 
     def test_unit_interval_range_and_stability(self):
         values = [_unit_interval(f"t{i}") for i in range(100)]

@@ -19,11 +19,10 @@ from repro.experiments.resilience import (
     CheckpointJournal,
     ResilienceOptions,
     RetryPolicy,
-    derive_attempt_seed,
 )
 
 TINY = SimulationPlan(warmup=1 * HOUR, observation=10 * HOUR, replications=1)
-FAST_RETRY = RetryPolicy(max_retries=2, backoff_base=0.01, backoff_max=0.05)
+FAST_RETRY = RetryPolicy(max_retries=2, backoff_base=0.01)
 
 
 def make_points(count=4):
@@ -40,27 +39,18 @@ def sweep(points, seed=7, **kwargs):
 
 class TestRetryPolicy:
     def test_backoff_schedule(self):
-        policy = RetryPolicy(max_retries=5, backoff_base=0.5,
-                             backoff_factor=2.0, backoff_max=3.0)
-        assert policy.delay_for(1) == 0.5
-        assert policy.delay_for(2) == 1.0
-        assert policy.delay_for(3) == 2.0
-        assert policy.delay_for(4) == 3.0  # capped
+        policy = RetryPolicy(max_retries=8, backoff_base=4.0)
+        assert policy.delay_for(1) == 4.0
+        assert policy.delay_for(2) == 8.0
+        assert policy.delay_for(3) == 16.0
+        assert policy.delay_for(4) == 30.0  # capped
         assert policy.delay_for(0) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_retries=-1)
         with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
-
-    def test_attempt_seed_derivation(self):
-        assert derive_attempt_seed(123, 0) == 123
-        first_retry = derive_attempt_seed(123, 1)
-        assert first_retry != 123
-        assert first_retry == derive_attempt_seed(123, 1)  # stable
-        assert first_retry != derive_attempt_seed(123, 2)
-        assert first_retry != derive_attempt_seed(124, 1)
+            RetryPolicy(backoff_base=-0.5)
 
 
 class TestDuplicatePointDetection:
@@ -318,12 +308,10 @@ class TestPoolSupervision:
             resilience=ResilienceOptions(retry=FAST_RETRY, fault_plan=plan),
         )
         assert not figure.failures
-        # Every x is present; the untouched points are bit-identical to
-        # the serial reference. The retried point ran with a fresh
-        # derived seed, so only its presence (not its value) is pinned.
-        assert [x for x, _, _ in figure.series["s"]] == [1.0, 2.0, 3.0]
-        assert figure.series["s"][0] == reference.series["s"][0]
-        assert figure.series["s"][2] == reference.series["s"][2]
+        assert figure.manifest.retries == 1
+        # The retry replayed the point's own seed, so the recovered
+        # point equals the serial reference bit for bit, like the rest.
+        assert figure.series == reference.series
 
     def test_serial_timeout_records_note(self):
         figure = sweep(
@@ -402,7 +390,7 @@ class TestDeterministicSupervision:
     """
 
     @staticmethod
-    def ok_task(task, fault_plan=None, backend_resilience=None, deadline=None):
+    def ok_task(task, fault_plan=None, deadline=None):
         from repro.exec import TaskResult
 
         return TaskResult(
@@ -493,8 +481,7 @@ class TestDeterministicSupervision:
         clock = FakeClock()
         attempts_seen = []
 
-        def flaky_task(task, fault_plan=None, backend_resilience=None,
-                       deadline=None):
+        def flaky_task(task, fault_plan=None, deadline=None):
             attempts_seen.append(task.attempt)
             if task.attempt < 2:
                 return TaskResult(
@@ -504,10 +491,7 @@ class TestDeterministicSupervision:
                 )
             return self.ok_task(task)
 
-        policy = RetryPolicy(
-            max_retries=3, backoff_base=10.0, backoff_factor=2.0,
-            backoff_max=60.0,
-        )
+        policy = RetryPolicy(max_retries=3, backoff_base=10.0)
         supervisor = SweepSupervisor(
             ResilienceOptions(retry=policy),
             processes=1,
@@ -521,6 +505,43 @@ class TestDeterministicSupervision:
         # Two backoffs were slept, both at their exact policy values.
         assert clock.sleeps == [policy.delay_for(1), policy.delay_for(2)]
         assert clock.now == pytest.approx(10.0 + 20.0)
+
+    def test_deterministic_failure_at_seed_exhausts_into_failure_report(self):
+        from repro.exec import TaskResult
+        from repro.experiments.resilience import SweepSupervisor
+
+        clock = FakeClock()
+        seeds_seen = []
+
+        def poisoned_seed(task, *args):
+            # Fails whenever it runs at seed 7: a defect of the sample
+            # path, not a transient fault.
+            seeds_seen.append(task.seed)
+            if task.seed == 7:
+                return TaskResult(
+                    status="error", index=task.index, series=task.series,
+                    x=task.x, attempt=task.attempt, seed_used=task.seed,
+                    failure={"error_type": "Poisoned",
+                             "error_message": "fails at seed 7"},
+                )
+            return self.ok_task(task)
+
+        supervisor = SweepSupervisor(
+            ResilienceOptions(retry=RetryPolicy(max_retries=2,
+                                                backoff_base=0.0)),
+            processes=1,
+            clock=clock,
+            sleep=clock.sleep,
+            run_task=poisoned_seed,
+        )
+        result = supervisor.run(self.make_tasks(1))
+        # Every retry replayed the same seed, so the failure stays loud
+        # instead of being resampled away.
+        assert seeds_seen == [7, 7, 7]
+        assert result.outcomes == {}
+        [report] = result.failures
+        assert report.attempts == 3
+        assert report.error_type == "Poisoned"
 
 
 class TestPoolShutdownErrors:

@@ -77,36 +77,28 @@ class TestRoundTrip:
 
 
 class TestResilienceSection:
-    SECTION = {
-        "events": [
-            {"kind": "retry", "backend": "san-sim", "attempt": 1},
-            {"kind": "degraded", "backend": "san-sim"},
-        ],
-        "summary": {
-            "by_kind": {"retry": 1, "degraded": 1},
-            "degraded": ["san-sim -> san-sim-full"],
-        },
+    """Manifests no longer carry a ``resilience`` section; ones written
+    while the backend resilience layer existed must still load."""
+
+    LEGACY_SECTION = {
+        "events": [{"kind": "retry", "backend": "san-sim", "attempt": 1}],
+        "summary": {"by_kind": {"retry": 1}, "degraded": []},
     }
 
-    def test_round_trips(self, tmp_path):
-        manifest = make_manifest(resilience=self.SECTION)
-        loaded = load_manifest(write_manifest(manifest, str(tmp_path)))
-        assert loaded.resilience == self.SECTION
+    def test_legacy_resilience_key_loads(self, tmp_path):
+        path = Path(write_manifest(make_manifest(), str(tmp_path)))
+        payload = json.loads(path.read_text())
+        payload["resilience"] = self.LEGACY_SECTION
+        path.write_text(json.dumps(payload))
+        loaded = load_manifest(str(path))
+        assert loaded.figure_id == make_manifest().figure_id
+        assert "resilience" not in loaded.to_json_dict()
 
     def test_absent_in_old_payloads_loads_as_none(self, tmp_path):
         path = Path(write_manifest(make_manifest(), str(tmp_path)))
         payload = json.loads(path.read_text())
-        assert payload["resilience"] is None
-        del payload["resilience"]  # a pre-PR-6 manifest
-        path.write_text(json.dumps(payload))
-        assert load_manifest(path).resilience is None
-
-    def test_render_shows_events_and_degradations(self):
-        text = render_manifest(make_manifest(resilience=self.SECTION))
-        assert "resilience: 2 event(s)" in text
-        assert "degraded=1" in text
-        assert "retry=1" in text
-        assert "degraded: san-sim -> san-sim-full" in text
+        assert "resilience" not in payload
+        assert load_manifest(str(path)).retries == make_manifest().retries
 
     def test_render_without_section_is_silent(self):
         assert "resilience" not in render_manifest(make_manifest())

@@ -1,35 +1,13 @@
-"""Retry-seed derivation and backoff boundary behaviour.
+"""Backoff schedule of the sweep-level :class:`RetryPolicy`.
 
-The seed convention (``retry/{seed}/{attempt}``) is a reproducibility
-contract shared with the sweep supervisor: these tests pin it down so
-a refactor cannot silently change which sample path a retry runs.
+The delay before retry ``k`` is ``backoff_base * 2 ** (k - 1)``,
+capped at 30 s; a retry replays its point's own seed, so the schedule
+is the only thing the policy decides.
 """
 
 import pytest
 
-from repro.resilience import RetryPolicy, derive_attempt_seed
-from repro.resilience.retry import jitter_fraction
-
-
-class TestDeriveAttemptSeed:
-    def test_attempt_zero_is_the_base_seed(self):
-        assert derive_attempt_seed(7, 0) == 7
-        assert derive_attempt_seed(0, 0) == 0
-
-    def test_attempts_get_distinct_seeds(self):
-        seeds = [derive_attempt_seed(7, attempt) for attempt in range(6)]
-        assert len(set(seeds)) == len(seeds)
-
-    def test_derivation_is_stable(self):
-        # The exact values are part of the on-disk reproducibility
-        # contract (journals and caches key on seeds); recompute twice.
-        assert derive_attempt_seed(7, 3) == derive_attempt_seed(7, 3)
-        assert derive_attempt_seed(7, 3) != derive_attempt_seed(8, 3)
-
-    def test_matches_the_stream_key_convention(self):
-        from repro.san.rng import stable_stream_key
-
-        assert derive_attempt_seed(42, 2) == stable_stream_key("retry/42/2")
+from repro.experiments.resilience import BACKOFF_MAX_SECONDS, RetryPolicy
 
 
 class TestDelayFor:
@@ -39,47 +17,13 @@ class TestDelayFor:
         assert policy.delay_for(3) == 0.0
 
     def test_exponential_growth(self):
-        policy = RetryPolicy(
-            max_retries=4, backoff_base=0.5, backoff_factor=2.0,
-            backoff_max=100.0, jitter=0.0,
-        )
+        policy = RetryPolicy(max_retries=4, backoff_base=0.5)
         assert policy.delay_for(1) == pytest.approx(0.5)
         assert policy.delay_for(2) == pytest.approx(1.0)
         assert policy.delay_for(3) == pytest.approx(2.0)
 
     def test_cap_saturation(self):
-        policy = RetryPolicy(
-            max_retries=10, backoff_base=1.0, backoff_factor=10.0,
-            backoff_max=5.0, jitter=0.0,
-        )
-        assert policy.delay_for(1) == pytest.approx(1.0)
-        assert policy.delay_for(2) == pytest.approx(5.0)
-        assert policy.delay_for(9) == pytest.approx(5.0)
-
-    def test_jitter_bounds(self):
-        policy = RetryPolicy(
-            max_retries=3, backoff_base=1.0, backoff_factor=2.0,
-            backoff_max=60.0, jitter=0.5,
-        )
-        for attempt in (1, 2, 3):
-            base = min(60.0, 1.0 * 2.0 ** (attempt - 1))
-            for token in ("a", "b", "c", None):
-                delay = policy.delay_for(attempt, token=token)
-                assert base <= delay < base * 1.5
-
-    def test_jitter_is_deterministic_per_token(self):
-        policy = RetryPolicy(max_retries=2, backoff_base=1.0, jitter=0.5)
-        assert policy.delay_for(1, token="x") == policy.delay_for(1, token="x")
-        # Different tokens should (generically) land on different delays.
-        assert policy.delay_for(1, token="x") != policy.delay_for(1, token="y")
-
-    def test_jitter_fraction_in_unit_interval(self):
-        for attempt in range(1, 5):
-            fraction = jitter_fraction("token", attempt)
-            assert 0.0 <= fraction < 1.0
-
-    def test_invalid_jitter_rejected(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=-0.1)
+        policy = RetryPolicy(max_retries=10, backoff_base=1.0)
+        assert policy.delay_for(5) == pytest.approx(16.0)
+        assert policy.delay_for(6) == pytest.approx(BACKOFF_MAX_SECONDS)
+        assert policy.delay_for(9) == pytest.approx(BACKOFF_MAX_SECONDS)

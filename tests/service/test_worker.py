@@ -74,6 +74,40 @@ class TestDrainLoop:
         statuses = [json.loads(line)["status"] for line in log.splitlines()]
         assert statuses == ["error", "error"]
 
+    def test_task_failing_once_is_retried_in_place(self, tmp_path):
+        from repro.experiments.resilience import RetryPolicy
+        from repro.obs import metrics
+
+        record = submit_small(tmp_path, max_points=1)
+        evaluated = metrics.registry().counter("tenant.acme.evaluated")
+        failed = metrics.registry().counter("tenant.acme.failed")
+        before = (evaluated.value, failed.value)
+        calls = []
+
+        def flaky(task, *args):
+            calls.append((task.attempt, task.seed))
+            return canned("error" if len(calls) == 1 else "ok")(task)
+
+        sleeps = []
+        worker = ServiceWorker(
+            str(tmp_path), idle_exit=0.0, run_task=flaky,
+            retry=RetryPolicy(max_retries=2, backoff_base=0.25),
+            sleep=sleeps.append, worker_id="w-retry",
+        )
+        assert worker.run() == 1
+        # The retry replayed the same seed after the policy's backoff.
+        [point] = record.points
+        seed = record.seed + point["index"]
+        assert calls == [(0, seed), (1, seed)]
+        assert sleeps[0] == 0.25
+        assert worker.failed == 0
+        assert os.listdir(tmp_path / "results") == [f"{point['key']}.json"]
+        assert (evaluated.value, failed.value) == (before[0] + 1, before[1])
+        log = (tmp_path / "workers" / "w-retry.log.jsonl").read_text()
+        assert [json.loads(line)["status"] for line in log.splitlines()] == [
+            "ok"
+        ]
+
     def test_unreadable_task_file_is_dropped(self, tmp_path):
         os.makedirs(tmp_path / "pending")
         (tmp_path / "pending" / "000000-00000000-dead.json").write_text(

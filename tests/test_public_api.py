@@ -21,7 +21,6 @@ PACKAGES = [
     "repro.failures",
     "repro.workload",
     "repro.backends",
-    "repro.resilience",
     "repro.exec",
     "repro.experiments",
 ]
@@ -48,7 +47,6 @@ MODULES = [
     "repro.core.parameters",
     "repro.core.simulation",
     "repro.core.system",
-    "repro.analytical.availability",
     "repro.analytical.coordination",
     "repro.analytical.daly",
     "repro.analytical.design",
@@ -65,10 +63,8 @@ MODULES = [
     "repro.cluster.simulator",
     "repro.failures.correlation",
     "repro.failures.processes",
-    "repro.failures.spatial",
     "repro.failures.traces",
     "repro.workload.bsp",
-    "repro.workload.generator",
     "repro.backends.base",
     "repro.backends.registry",
     "repro.backends.san_sim",
@@ -76,10 +72,6 @@ MODULES = [
     "repro.backends.cluster",
     "repro.backends.analytical",
     "repro.backends.cache",
-    "repro.resilience.backend",
-    "repro.resilience.breaker",
-    "repro.resilience.events",
-    "repro.resilience.retry",
     "repro.exec.task",
     "repro.exec.base",
     "repro.exec.serial",

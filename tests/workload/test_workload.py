@@ -1,11 +1,10 @@
-"""Tests for the BSP workload model and generators."""
+"""Tests for the BSP workload model."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ModelParameters
-from repro.workload import BSPWorkload, apply_workload, random_workloads, workload_grid
+from repro.workload import BSPWorkload
 
 
 class TestBSPWorkload:
@@ -73,31 +72,3 @@ class TestBSPWorkload:
         workload = BSPWorkload(period=period, compute_fraction=fraction)
         wait = workload.quiesce_wait(offset)
         assert 0.0 <= wait <= workload.io_phase + 1e-9
-
-
-class TestGenerators:
-    def test_grid_size(self):
-        grid = workload_grid(periods=(100.0, 200.0), compute_fractions=(0.9, 1.0))
-        assert len(grid) == 4
-
-    def test_random_workloads_deterministic(self):
-        a = list(random_workloads(5, seed=1))
-        b = list(random_workloads(5, seed=1))
-        assert a == b
-
-    def test_random_workloads_within_ranges(self):
-        for workload in random_workloads(20, seed=2):
-            assert 60.0 <= workload.period <= 600.0
-            assert 0.88 <= workload.compute_fraction <= 1.0
-
-    def test_random_count_validated(self):
-        with pytest.raises(ValueError):
-            list(random_workloads(0))
-
-    def test_apply_workload(self):
-        workload = BSPWorkload(period=240.0, compute_fraction=0.9,
-                               io_data_per_node=5e6)
-        params = apply_workload(ModelParameters(), workload)
-        assert params.app_io_cycle_period == 240.0
-        assert params.compute_fraction == 0.9
-        assert params.app_io_data_per_node == 5e6
