@@ -1,8 +1,9 @@
 """Content-addressed cache of evaluation results.
 
 A sweep point's value is fully determined by ``(backend, params,
-plan)`` — the determinism contract the checkpoint journal (PR 1)
-already relies on. This cache exploits that across *runs*: the key is
+plan)``. This cache exploits that across *runs*, and it is the only
+place a finished point's result lives: resuming an interrupted sweep,
+the work queue's coalescing and the job API all read it. The key is
 a digest of the canonical JSON of the request (including the result
 schema version and the backend's own version, so numerics changes
 invalidate stale entries), and the value is the serialised
@@ -10,7 +11,7 @@ invalidate stale entries), and the value is the serialised
 
 Layout: ``<root>/<backend_id>/<digest[:2]>/<digest>.json``, one file
 per evaluated request, written atomically (temp file + fsync +
-rename, the same discipline as the journal and the figure archive).
+rename, the same discipline as the figure archive).
 The two-hex-character fan-out keeps any one directory small under a
 long-lived evaluation service; entries written under the older flat
 layout (``<root>/<backend_id>/<digest>.json``) are migrated into
@@ -38,7 +39,7 @@ import hashlib
 import os
 import tempfile
 import time
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Sequence, Set
 
 from ..core.parameters import ModelParameters
 from ..obs import metrics
@@ -181,18 +182,29 @@ class ResultCache:
 
     def get(self, backend: Backend, params: ModelParameters,
             plan: EvaluationPlan) -> Optional[EvaluationResult]:
-        """The cached result, or ``None`` on any kind of miss.
+        """The cached result of this request, or ``None`` on any kind
+        of miss (see :meth:`lookup`)."""
+        return self.lookup(
+            backend.id, self.key(backend, params, plan), plan.metrics
+        )
 
-        Corruption and schema mismatches are deliberate misses: the
-        caller re-evaluates and overwrites the bad entry. An entry
-        written under the pre-shard flat layout is transparently moved
-        into its shard and served.
+    def lookup(self, backend_id: str, digest: str,
+               wanted: Sequence[str] = ()) -> Optional[EvaluationResult]:
+        """The entry filed under ``(backend_id, digest)``, or ``None``.
+
+        This is the one test of whether a request is answered in the
+        cache: callers that already hold a request digest (the job
+        API) read entries through it; :meth:`get` derives the digest
+        first. Corruption, a torn write, schema mismatches and an
+        entry lacking one of the ``wanted`` metrics are deliberate
+        misses: the caller re-evaluates and overwrites the bad entry.
+        An entry written under the pre-shard flat layout is
+        transparently moved into its shard and served.
         """
-        digest = self.key(backend, params, plan)
-        path = self.entry_path(backend.id, digest)
+        path = self.entry_path(backend_id, digest)
         reg = metrics.registry()
         if not os.path.isfile(path):
-            self._migrate_flat_entry(backend.id, digest, path)
+            self._migrate_flat_entry(backend_id, digest, path)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
@@ -205,7 +217,9 @@ class ResultCache:
             reg.counter("cache.misses").inc()
             reg.counter("cache.corrupt_entries").inc()
             return None
-        if result.backend != backend.id:
+        if result.backend != backend_id or any(
+            name not in result.metrics for name in wanted
+        ):
             reg.counter("cache.misses").inc()
             return None
         reg.counter("cache.hits").inc()

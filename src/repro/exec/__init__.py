@@ -14,7 +14,7 @@ tasks into :class:`~repro.exec.task.TaskResult` envelopes is an
   queue with priority ordering and cache-key deduplication, so
   concurrent figures sharing points evaluate each point once.
 
-Retry policy, backoff, journaling and failure reporting live one
+Retry policy, backoff and failure reporting live one
 layer up, in :class:`~repro.experiments.resilience.SweepSupervisor`,
 which drives any executor through the same protocol. See
 ``docs/EXECUTION.md`` for the task schema, the executor decision
@@ -42,6 +42,7 @@ from .task import (
     Outcome,
     TaskError,
     TaskResult,
+    cached_answer,
     execute_task,
     failure_payload,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "Outcome",
     "TaskError",
     "TaskResult",
+    "cached_answer",
     "execute_task",
     "failure_payload",
 ]

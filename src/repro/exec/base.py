@@ -5,7 +5,7 @@ An *executor* is anything that turns submitted
 :class:`~repro.exec.task.TaskResult` envelopes. The protocol is
 deliberately small — ``submit`` / ``pending`` / ``drain`` / ``close``
 plus a :class:`ExecutorCapabilities` record and a ``stats()``
-snapshot — so the retry/journal policy layer
+snapshot — so the retry policy layer
 (:class:`~repro.experiments.resilience.SweepSupervisor`) can drive a
 serial loop, a process pool, or a persistent on-disk queue without
 knowing which it has.

@@ -5,21 +5,32 @@ Layout under the queue directory::
     <queue_dir>/
       pending/   <priority:06d>-<counter:08d>-<cache_key>.json
       inflight/  same filename, moved here atomically while executing
-      results/   <cache_key>.json   (ok TaskResult envelopes only)
+      cache/     the default ResultCache root of the queue's tasks
+
+The queue keeps no results of its own. A task queued without a
+``cache_dir`` answers into ``<queue_dir>/cache``; the root is resolved
+against the reader's ``queue_dir`` whenever the task file is read
+(:func:`with_queue_cache`), never persisted, so a queue directory
+named by different relative paths from different working directories
+still finds its answers. :func:`~repro.exec.task.execute_task`'s
+cache write is the one place an answer is stored, and the same
+:class:`~repro.backends.cache.ResultCache` entries serve the queue's
+coalescing, the job API and any serial sweep given that cache.
 
 Every file is written atomically (temp file + fsync + ``os.replace``,
-the same discipline as the result cache and the journal) and a task
-is *claimed* by an atomic rename from ``pending/`` to ``inflight/``,
-so two drainers can share one queue directory without double-running
-a task.
+the same discipline as the result cache) and a task is *claimed* by an
+atomic rename from ``pending/`` to ``inflight/``, so two drainers can
+share one queue directory without double-running a task.
 
 Deduplication: tasks are keyed by the canonical cache digest
-(:meth:`~repro.exec.task.EvaluationTask.cache_key`). Submitting a key
-that is already queued, already being waited on, or already answered
-in the results store does not enqueue new work — the submission is
-*coalesced*: it will be served from the single evaluation of that
-key. Concurrent figures sharing points therefore evaluate each unique
-point exactly once per queue.
+(:meth:`~repro.exec.task.EvaluationTask.cache_key`) and the cache
+they answer into. Submitting a key that is already answered in the
+task's result cache, or already queued or waited on for that same
+cache, does not enqueue new work — the submission is *coalesced*: it
+will be served from the single evaluation of that key. A key queued
+for a different cache is not ridden on, because its answer would
+never reach this submitter's cache. Concurrent figures sharing points
+and a cache therefore evaluate each unique point exactly once.
 
 Priority: lower ``task.priority`` values run first (then submission
 order) — the lexicographic sort of the zero-padded filenames is the
@@ -55,18 +66,23 @@ from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 from ..obs import metrics as obs_metrics
 from . import task as _task
 from .base import ExecutorCapabilities
-from .task import EvaluationTask, TaskError, TaskResult
+from .task import EvaluationTask, TaskError, TaskResult, cached_answer
 
 __all__ = [
     "INFLIGHT_SWEEP_AGE_SECONDS",
     "HEARTBEAT_DIVISOR",
     "InflightLease",
     "QueueExecutor",
+    "answer_root",
     "atomic_write_json",
     "claim_next_pending",
     "next_counter",
     "pending_name",
+    "queue_cache_dir",
+    "queued_files",
     "sweep_orphaned_inflight",
+    "with_queue_cache",
+    "write_pending",
 ]
 
 #: Minimum age (seconds since the last heartbeat touch) before a
@@ -85,7 +101,7 @@ HEARTBEAT_DIVISOR = 3.0
 # ----------------------------------------------------------------------
 def atomic_write_json(path: str, payload: Any) -> None:
     """Write ``payload`` as JSON via temp file + fsync + ``os.replace``
-    (the same crash discipline as the result cache and the journal)."""
+    (the same crash discipline as the result cache)."""
     directory = os.path.dirname(path)
     fd, tmp_path = tempfile.mkstemp(
         dir=directory, prefix=".queue-", suffix=".json.tmp"
@@ -100,6 +116,28 @@ def atomic_write_json(path: str, payload: Any) -> None:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
+
+
+def queue_cache_dir(queue_dir: str) -> str:
+    """The result cache a queue's tasks use unless they name one."""
+    return os.path.join(queue_dir, "cache")
+
+
+def with_queue_cache(task: EvaluationTask, queue_dir: str) -> EvaluationTask:
+    """``task`` rooted at ``<queue_dir>/cache`` when it has no cache.
+
+    Applied whenever a task is read or looked up, never before it is
+    persisted: the default root follows the reader's ``queue_dir``.
+    """
+    if task.cache_dir:
+        return task
+    return replace(task, cache_dir=queue_cache_dir(queue_dir))
+
+
+def answer_root(queue_dir: str, cache_dir: Optional[str]) -> str:
+    """The absolute cache root a task queued in ``queue_dir`` with
+    ``cache_dir`` (``None``: the queue's own) answers into."""
+    return os.path.realpath(cache_dir or queue_cache_dir(queue_dir))
 
 
 def pending_name(priority: int, counter: int, key: str) -> str:
@@ -151,6 +189,49 @@ def next_counter(queue_dir: str, pending_dir: str, inflight_dir: str) -> int:
     except OSError:
         pass  # a read-only queue still orders by the directory scan
     return value
+
+
+def write_pending(queue_dir: str, task: EvaluationTask, key: str) -> None:
+    """Persist ``task`` under ``key`` in ``<queue_dir>/pending/`` at its
+    priority and the next FIFO counter."""
+    pending_dir = os.path.join(queue_dir, "pending")
+    counter = next_counter(
+        queue_dir, pending_dir, os.path.join(queue_dir, "inflight")
+    )
+    atomic_write_json(
+        os.path.join(pending_dir, pending_name(task.priority, counter, key)),
+        task.to_json_dict(),
+    )
+
+
+def queued_files(queue_dir: str, key: str,
+                 cache_dir: Optional[str] = None) -> List[str]:
+    """Paths of the pending and in-flight task files queued under
+    ``key`` in ``queue_dir`` that answer into ``cache_dir`` (``None``:
+    the queue's own cache). A file of the same key rooted in another
+    cache is no match: riding on it would leave ``cache_dir`` without
+    the answer."""
+    suffix = f"-{key}.json"
+    root = answer_root(queue_dir, cache_dir)
+    found = []
+    for sub in ("pending", "inflight"):
+        directory = os.path.join(queue_dir, sub)
+        try:
+            names = os.listdir(directory)
+        except OSError:
+            continue
+        for name in names:
+            if not name.endswith(suffix):
+                continue
+            path = os.path.join(directory, name)
+            try:
+                with open(path, "r", encoding="utf-8") as handle:
+                    queued_root = json.load(handle).get("cache_dir")
+            except (OSError, ValueError, AttributeError):
+                continue  # claimed, finished or unreadable meanwhile
+            if answer_root(queue_dir, queued_root) == root:
+                found.append(path)
+    return found
 
 
 def claim_next_pending(pending_dir: str, inflight_dir: str) -> Optional[str]:
@@ -298,17 +379,16 @@ class QueueExecutor:
         self.notes: List[str] = []
         self._pending_dir = os.path.join(queue_dir, "pending")
         self._inflight_dir = os.path.join(queue_dir, "inflight")
-        self._results_dir = os.path.join(queue_dir, "results")
-        for directory in (
-            self._pending_dir, self._inflight_dir, self._results_dir
-        ):
+        for directory in (self._pending_dir, self._inflight_dir):
             os.makedirs(directory, exist_ok=True)
         self._point_timeout = point_timeout
         self._fault_plan = fault_plan
         self._run_task = run_task
         self._orphan_age = orphan_age
         self._clock = clock
-        self._waiters: Dict[str, List[EvaluationTask]] = {}
+        # Local submissions waiting on one evaluation, keyed by
+        # (cache key, absolute cache root).
+        self._waiters: Dict[Tuple[str, str], List[EvaluationTask]] = {}
         self._served: Deque[Tuple[EvaluationTask, TaskResult]] = deque()
         self._executed = 0
         self._coalesced = 0
@@ -336,31 +416,33 @@ class QueueExecutor:
     # Submission
     # ------------------------------------------------------------------
     def submit(self, task: EvaluationTask) -> None:
-        """Enqueue one task, coalescing on its cache key.
+        """Enqueue one task, coalescing on its cache key and root.
 
-        A key already being waited on, already queued on disk, or
-        already answered in the results store is not enqueued again;
-        the submission is counted as coalesced and served from the
-        single evaluation of that key.
+        A key already answered in the task's result cache, or already
+        waited on or queued on disk for that same cache, is not
+        enqueued again; the submission is counted as coalesced and
+        served from the single evaluation of that key.
         """
+        rooted = with_queue_cache(task, self.queue_dir)
         key = task.cache_key()
-        waiters = self._waiters.get(key)
+        slot = (key, answer_root(self.queue_dir, task.cache_dir))
+        waiters = self._waiters.get(slot)
         if waiters is not None:
-            waiters.append(task)
+            waiters.append(rooted)
             self._coalesced += 1
             return
-        stored = self._load_stored(key)
+        stored = cached_answer(rooted)
         if stored is not None:
-            self._served.append((task, stored))
+            self._served.append((rooted, stored))
             self._coalesced += 1
             return
-        self._waiters[key] = [task]
-        if self._queued_files(key):
+        self._waiters[slot] = [rooted]
+        if queued_files(self.queue_dir, key, task.cache_dir):
             # Persisted by an earlier (possibly crashed) submitter:
             # ride on that file instead of enqueueing a duplicate.
             self._coalesced += 1
         else:
-            self._write_pending(task, key)
+            write_pending(self.queue_dir, task, key)
         depth = len(os.listdir(self._pending_dir)) + len(
             os.listdir(self._inflight_dir)
         )
@@ -374,42 +456,6 @@ class QueueExecutor:
     # ------------------------------------------------------------------
     # File plumbing
     # ------------------------------------------------------------------
-    def _queued_files(self, key: str) -> List[str]:
-        suffix = f"-{key}.json"
-        found = []
-        for directory in (self._pending_dir, self._inflight_dir):
-            for name in os.listdir(directory):
-                if name.endswith(suffix):
-                    found.append(os.path.join(directory, name))
-        return found
-
-    def _write_pending(self, task: EvaluationTask, key: str) -> None:
-        counter = next_counter(
-            self.queue_dir, self._pending_dir, self._inflight_dir
-        )
-        name = pending_name(task.priority, counter, key)
-        atomic_write_json(
-            os.path.join(self._pending_dir, name), task.to_json_dict()
-        )
-
-    def _load_stored(self, key: str) -> Optional[TaskResult]:
-        path = os.path.join(self._results_dir, f"{key}.json")
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            return TaskResult.from_json_dict(payload)
-        except (OSError, ValueError, TaskError):
-            return None  # absent or unreadable: evaluate fresh
-
-    def _store_result(self, key: str, result: TaskResult) -> None:
-        try:
-            atomic_write_json(
-                os.path.join(self._results_dir, f"{key}.json"),
-                result.to_json_dict(),
-            )
-        except OSError:
-            pass  # a full or read-only store must not fail the task
-
     def _claim_next(self) -> Optional[str]:
         """Atomically move the first pending file to ``inflight/``."""
         return claim_next_pending(self._pending_dir, self._inflight_dir)
@@ -428,9 +474,10 @@ class QueueExecutor:
             self._point_timeout,
         )
 
-    def _dispatch(self, key: str, result: TaskResult) -> List[TaskResult]:
+    def _dispatch(self, slot: Tuple[str, str],
+                  result: TaskResult) -> List[TaskResult]:
         """Stamp one evaluation's result onto every waiting submission."""
-        waiters = self._waiters.pop(key, [])
+        waiters = self._waiters.pop(slot, [])
         stamped = []
         for position, waiter in enumerate(waiters):
             stamped.append(
@@ -449,7 +496,8 @@ class QueueExecutor:
         """Execute queued tasks in priority order; yield results for
         every local submission (coalesced ones included) until none
         remain waiting. Queued tasks belonging to other submitters are
-        executed and stored but not yielded."""
+        executed (their answers land in their result cache) but not
+        yielded."""
         while self._waiters or self._served:
             while self._served:
                 waiter, stored = self._served.popleft()
@@ -469,11 +517,9 @@ class QueueExecutor:
                 # crash before the janitor threshold, or claimed by a
                 # foreign drainer that died): evaluate from the
                 # in-memory submission so the sweep always completes.
-                key = next(iter(self._waiters))
-                result = self._run(self._waiters[key][0])
-                if result.ok:
-                    self._store_result(key, result)
-                for stamped in self._dispatch(key, result):
+                slot = next(iter(self._waiters))
+                result = self._run(self._waiters[slot][0])
+                for stamped in self._dispatch(slot, result):
                     yield stamped
                 continue
             try:
@@ -490,18 +536,18 @@ class QueueExecutor:
                 except OSError:
                     pass
                 continue
-            key = task.cache_key()
+            slot = (
+                task.cache_key(), answer_root(self.queue_dir, task.cache_dir)
+            )
             # Heartbeat the claim while it runs: another drainer's
             # janitor must see a live lease, however slow the task.
             with InflightLease(claimed, self._orphan_age, self._clock):
-                result = self._run(task)
-            if result.ok:
-                self._store_result(key, result)
+                result = self._run(with_queue_cache(task, self.queue_dir))
             try:
                 os.unlink(claimed)
             except OSError:
                 pass
-            for stamped in self._dispatch(key, result):
+            for stamped in self._dispatch(slot, result):
                 yield stamped
 
     def close(self) -> None:

@@ -38,6 +38,7 @@ __all__ = [
     "EvaluationTask",
     "TaskResult",
     "failure_payload",
+    "cached_answer",
     "execute_task",
 ]
 
@@ -45,7 +46,7 @@ __all__ = [
 #: meaning; readers reject foreign versions instead of guessing.
 TASK_SCHEMA_VERSION = 1
 
-#: A point outcome as journaled and assembled:
+#: A point outcome as assembled into a figure:
 #: ``(series, x, mean, half_width)``.
 Outcome = Tuple[str, float, float, float]
 
@@ -220,8 +221,8 @@ class TaskResult:
     :func:`failure_payload` under ``failure``. Provenance travels with
     the envelope: which attempt ran, under which seed (always the
     task's ``base_seed``), and whether the result was ``coalesced``
-    (served from another submission's evaluation or a persistent
-    queue's result store rather than evaluated for this submission).
+    (served from another submission's evaluation or from the result
+    cache rather than evaluated for this submission).
     """
 
     status: str
@@ -255,6 +256,24 @@ class TaskResult:
                 f"status={self.status!r}"
             )
         return (self.series, self.x, self.mean, self.half_width)
+
+    @classmethod
+    def answered(cls, task: EvaluationTask, result: Any) -> "TaskResult":
+        """The ok envelope of ``task`` answered by ``result`` (an
+        :class:`~repro.backends.base.EvaluationResult`, fresh or read
+        back from the cache)."""
+        value = result.metric(task.plan.metrics[0])
+        return cls(
+            status="ok",
+            index=task.index,
+            series=task.series,
+            x=task.x,
+            attempt=task.attempt,
+            seed_used=task.seed,
+            mean=value.mean,
+            half_width=value.half_width,
+            result=result.to_json_dict(),
+        )
 
     def to_json_dict(self) -> Dict[str, Any]:
         """A JSON-safe dict that :meth:`from_json_dict` reverses."""
@@ -308,6 +327,23 @@ class TaskResult:
             raise TaskError(f"malformed result payload: {exc}") from exc
 
 
+def cached_answer(task: EvaluationTask) -> Optional[TaskResult]:
+    """``task`` answered from its result cache, or ``None`` when it
+    has no cache or the cache misses (see
+    :meth:`~repro.backends.cache.ResultCache.lookup`).
+
+    The one read-side counterpart of :func:`execute_task`'s cache
+    write: the sweep runner, the work queue and the job API all ask
+    it whether a point is already answered.
+    """
+    if not task.cache_dir:
+        return None
+    cached = ResultCache(task.cache_dir).get(
+        get_backend(task.backend), task.params, task.seeded_plan()
+    )
+    return None if cached is None else TaskResult.answered(task, cached)
+
+
 def execute_task(
     task: EvaluationTask,
     fault_plan: Optional[Any] = None,
@@ -317,7 +353,9 @@ def execute_task(
 
     Resolves the backend by name (backends register at import time in
     every process), evaluates under the task's seed, and best-effort
-    writes every ok result through to the task's cache.
+    writes every ok result through to the task's cache — the one
+    write path of the result store every executor, worker and job
+    reads.
     Exceptions are folded into a structured ``"error"``
     :class:`TaskResult` before they cross any process boundary.
 
@@ -345,7 +383,7 @@ def execute_task(
                 ),
             )
         result = backend.evaluate(task.params, eval_plan)
-        metric_value = result.metric(seeded_plan.metrics[0])
+        answered = TaskResult.answered(task, result)
         if task.cache_dir:
             try:
                 ResultCache(task.cache_dir).put(
@@ -353,17 +391,7 @@ def execute_task(
                 )
             except OSError:
                 pass  # a full or read-only cache must not fail the point
-        return TaskResult(
-            status="ok",
-            index=task.index,
-            series=task.series,
-            x=task.x,
-            attempt=task.attempt,
-            seed_used=task.seed,
-            mean=metric_value.mean,
-            half_width=metric_value.half_width,
-            result=result.to_json_dict(),
-        )
+        return answered
     except Exception as exc:
         return TaskResult(
             status="error",

@@ -35,8 +35,6 @@ from .chaos import ChaosOutcome, run_chaos
 from .faultinject import FaultPlan, InjectedCrash, SweepAborted
 from .paper_claims import CLAIMS, Claim, ClaimOutcome, evaluate_claims, render_claims
 from .resilience import (
-    CheckpointError,
-    CheckpointJournal,
     FailureReport,
     ResilienceOptions,
     RetryPolicy,
@@ -80,8 +78,6 @@ __all__ = [
     "ResilienceOptions",
     "RetryPolicy",
     "FailureReport",
-    "CheckpointJournal",
-    "CheckpointError",
     "SweepSupervisor",
     "FaultPlan",
     "InjectedCrash",

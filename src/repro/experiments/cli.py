@@ -8,8 +8,8 @@ Usage::
     python -m repro run-figure fig4a --preset quick --seed 7
     python -m repro run-figure fig4a --preset quick --backend analytical
     python -m repro run-all --preset standard --output EXPERIMENTS.out.md
-    python -m repro run-figure fig4a --checkpoint-dir ckpt --resume \
-        --retries 3 --point-timeout 1800 --processes 4 --cache-dir cache
+    python -m repro run-figure fig4a --cache-dir cache \
+        --retries 3 --point-timeout 1800 --processes 4
     python -m repro run-figure fig4a --preset quick --save-json out \
         --metrics-out metrics.json --trace-out trace.jsonl --trace-sample 100
     python -m repro obs out                 # render the run manifests
@@ -22,7 +22,7 @@ Usage::
         --crash 0.9 --hang 0.2 --hang-seconds 120 --deadline 30 --retries 1
     python -m repro worker --queue-dir q --idle-exit 10   # queue drainer
     python -m repro job submit fig4a --queue-dir q --preset quick \
-        --max-points 6 --tenant ci
+        --max-points 6
     python -m repro job status JOB --queue-dir q --wait --timeout 300
     python -m repro job collect JOB --queue-dir q --save-json out
     python -m repro cache prune --cache-dir cache --max-bytes 1048576
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "submit a figure sweep as a named job on a shared queue, "
             "poll its status, or collect the finished figure from the "
-            "results store (never blocks a worker)"
+            "result cache (never blocks a worker)"
         ),
     )
     job_sub = job.add_subparsers(dest="job_command", required=True)
@@ -216,10 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="queue priority (lower runs first; default: 0)",
     )
     job_submit.add_argument(
-        "--tenant", default="default", metavar="LABEL",
-        help="tenant label for per-tenant accounting (default: 'default')",
-    )
-    job_submit.add_argument(
         "--name", default=None, metavar="NAME",
         help="human-readable job name (default: the figure id)",
     )
@@ -229,10 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     job_submit.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="content-addressed result cache the workers should use",
+        help="content-addressed result cache the workers answer into "
+             "(default: QUEUE_DIR/cache); points already in it are not "
+             "queued",
     )
     job_status_p = job_sub.add_parser(
-        "status", help="poll one job against the queue's results store"
+        "status", help="poll one job against its result cache"
     )
     job_status_p.add_argument("job_id", help="job id printed by submit")
     job_status_p.add_argument(
@@ -256,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     job_collect = job_sub.add_parser(
         "collect",
-        help="assemble the finished job's figure from the results store",
+        help="assemble the finished job's figure from its result cache",
     )
     job_collect.add_argument("job_id", help="job id printed by submit")
     job_collect.add_argument(
@@ -516,8 +514,8 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         metavar="DIR",
         help=(
             "directory backing the 'queue' executor (pending/, inflight/ "
-            "and results/ live under it; survives crashes and dedups "
-            "repeated submissions of the same point)"
+            "and the default result cache cache/ live under it; survives "
+            "crashes and dedups repeated submissions of the same point)"
         ),
     )
     parser.add_argument(
@@ -542,24 +540,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="DIR",
         help="archive each regenerated figure as JSON in this directory",
-    )
-    parser.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "journal every completed point to DIR/<figure_id>.journal.jsonl "
-            "so an interrupted sweep can be resumed"
-        ),
-    )
-    parser.add_argument(
-        "--resume",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=(
-            "resume from an existing checkpoint journal (default); "
-            "--no-resume discards it and starts fresh"
-        ),
     )
     parser.add_argument(
         "--retries",
@@ -592,7 +572,8 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         help=(
             "content-addressed result cache shared across runs; points "
             "whose (backend, params, plan, seed) were already evaluated "
-            "are reused instead of re-simulated"
+            "are reused instead of re-simulated, so re-running an "
+            "interrupted sweep with the same DIR resumes it"
         ),
     )
     parser.add_argument(
@@ -644,8 +625,6 @@ def _resilience_from_args(args: argparse.Namespace):
     from .resilience import ResilienceOptions, RetryPolicy
 
     return ResilienceOptions(
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
-        resume=getattr(args, "resume", True),
         retry=RetryPolicy(
             max_retries=getattr(args, "retries", 2),
             backoff_base=getattr(args, "retry_backoff", 0.5),
@@ -905,7 +884,6 @@ def _job_command(args: argparse.Namespace) -> int:
                 seed=args.seed,
                 max_points=args.max_points,
                 priority=args.priority,
-                tenant=args.tenant,
                 name=args.name,
                 backend=args.backend,
                 cache_dir=args.cache_dir,
@@ -916,8 +894,7 @@ def _job_command(args: argparse.Namespace) -> int:
         queued = record.submitted - record.served_from_cache - record.coalesced
         print(record.job_id)
         print(
-            f"submitted {record.submitted} point(s) for tenant "
-            f"{record.tenant!r}: {queued} queued, "
+            f"submitted {record.submitted} point(s): {queued} queued, "
             f"{record.served_from_cache} already answered, "
             f"{record.coalesced} coalesced with queued work",
             file=sys.stderr,

@@ -11,12 +11,9 @@ deterministically by point index and attempt number:
 * **hangs** — the worker sleeps past the supervisor's point timeout,
   exercising hang detection and pool replacement;
 * **aborts** — the supervisor raises :class:`SweepAborted` after the
-  k-th completed point has been journaled, simulating the sweep
-  process being killed mid-run (the resume path's test vector);
-
-plus journal-corruption helpers (:func:`corrupt_journal_tail`,
-:func:`corrupt_journal_line`, :func:`truncate_journal`) that model a
-torn write or bit rot in the checkpoint file itself.
+  k-th completed point has been stored in the result cache,
+  simulating the sweep process being killed mid-run (the resume
+  path's test vector).
 
 :meth:`FaultPlan.sampled` draws crash and hang points at given
 fractions from stable hashes; the ``repro chaos`` CLI subcommand runs
@@ -38,9 +35,6 @@ __all__ = [
     "FaultPlan",
     "InjectedCrash",
     "SweepAborted",
-    "corrupt_journal_line",
-    "corrupt_journal_tail",
-    "truncate_journal",
 ]
 
 
@@ -70,7 +64,7 @@ class FaultPlan:
         below it to model a slow-but-successful point.
     abort_after:
         Raise :class:`SweepAborted` in the supervisor once this many
-        points have completed (and been journaled) in the current run.
+        points have completed in the current run.
     """
 
     crashes: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
@@ -143,7 +137,7 @@ class FaultPlan:
             )
 
     def after_success(self, completed_count: int) -> None:
-        """Supervisor-side hook, called after a point is journaled."""
+        """Supervisor-side hook, called after a point completes."""
         if self.abort_after is not None and completed_count >= self.abort_after:
             raise SweepAborted(
                 f"injected abort after {completed_count} completed point(s)"
@@ -154,39 +148,3 @@ def _unit_interval(token: str) -> float:
     """A deterministic value in ``[0, 1)`` hashed from ``token``."""
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little") / 2**64
-
-
-# ----------------------------------------------------------------------
-# Journal corruption
-# ----------------------------------------------------------------------
-def corrupt_journal_tail(
-    path: str, garbage: str = '{"kind": "point", "series": "tru'
-) -> None:
-    """Append a torn (half-written) record to a journal, as if the
-    process died mid-append."""
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(garbage)
-
-
-def corrupt_journal_line(path: str, line_index: int, garbage: str = "\x00garbage\x00") -> None:
-    """Overwrite one journal line with garbage (bit rot)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not 0 <= line_index < len(lines):
-        raise IndexError(
-            f"journal {path!r} has {len(lines)} lines; cannot corrupt line "
-            f"{line_index}"
-        )
-    lines[line_index] = garbage
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-def truncate_journal(path: str, keep_lines: int) -> None:
-    """Drop all but the first ``keep_lines`` lines of a journal."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    kept = lines[:keep_lines]
-    with open(path, "w", encoding="utf-8") as handle:
-        for line in kept:
-            handle.write(line + "\n")

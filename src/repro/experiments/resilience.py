@@ -1,17 +1,17 @@
-"""Fault-tolerant sweep execution: checkpoint journal + supervisor.
+"""Fault-tolerant sweep execution: the retry supervisor.
 
 The paper this repository reproduces models systems that survive
-failures by periodically persisting partial state; this module makes
-the *harness itself* practice that discipline. It provides the pieces
-:func:`~repro.experiments.runner.run_sweep` composes:
-
-* :class:`CheckpointJournal` — an append-only, fsync'd JSON-lines file
-  holding one record per completed sweep point. An interrupted sweep
-  resumes from its journal, simulating only the missing points; since
-  every point's seed is derived from its position, the resumed figure
-  is bit-identical to an uninterrupted run. Torn or corrupted tails
-  (the harness-level analogue of a failure *during* checkpointing) are
-  detected and truncated back to the last intact record.
+failures by persisting state once and rolling back to it; the harness
+practices the same discipline. Its one persistent store is the
+content-addressed :class:`~repro.backends.cache.ResultCache`: every
+evaluated point is written there atomically (fsync + rename), so an
+interrupted sweep re-run over the same cache resumes from it,
+simulating only the missing points — and since every point's seed is
+derived from its position, the resumed figure is bit-identical to an
+uninterrupted run. A torn entry (a failure *during* the write) reads
+as a miss and is simply re-evaluated. This module provides the
+pieces :func:`~repro.experiments.runner.run_sweep` composes around
+that store:
 
 * :class:`SweepSupervisor` — the one retry layer. It drives any
   :class:`~repro.exec.base.Executor` (serial, process pool, persistent
@@ -23,8 +23,8 @@ the *harness itself* practice that discipline. It provides the pieces
   themselves.
 
 * :class:`ResilienceOptions` / :class:`RetryPolicy` — the
-  configuration threaded from the CLI (``--resume``, ``--retries``,
-  ``--point-timeout``, ...) down to the executive.
+  configuration threaded from the CLI (``--retries``,
+  ``--point-timeout``, ``--cache-dir``, ...) down to the executive.
 
 Determinism contract: a point's outcome depends only on its
 ``(params, plan, seed)``, and a retry replays its point's own seed.
@@ -37,35 +37,25 @@ than being resampled away.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..exec.base import Executor, ExecutorError
-from ..exec.pool import PoolExecutor, shutdown_pool
+from ..exec.pool import PoolExecutor
 from ..exec.serial import SerialExecutor
 from ..exec.task import EvaluationTask, Outcome, TaskResult, failure_payload
 
 __all__ = [
     "BACKOFF_MAX_SECONDS",
-    "CheckpointError",
-    "CheckpointJournal",
     "FailureReport",
-    "JournalState",
     "ResilienceOptions",
     "RetryPolicy",
     "SupervisorResult",
     "SweepSupervisor",
     "failure_payload",
 ]
-
-#: Journal key of a point.
-PointKey = Tuple[str, float]
-
 
 #: Backoff grows by this factor per retry ...
 BACKOFF_FACTOR = 2.0
@@ -103,11 +93,6 @@ class RetryPolicy:
         )
 
 
-class CheckpointError(RuntimeError):
-    """The checkpoint journal cannot be used (fingerprint mismatch,
-    unusable header, ...). Carries the journal path in the message."""
-
-
 @dataclass
 class FailureReport:
     """One sweep point that exhausted its retries.
@@ -137,12 +122,6 @@ class ResilienceOptions:
 
     Attributes
     ----------
-    checkpoint_dir:
-        Directory holding one ``<figure_id>.journal.jsonl`` per sweep.
-        ``None`` disables checkpointing entirely.
-    resume:
-        When a journal exists, skip its completed points (default).
-        ``False`` discards any existing journal and starts fresh.
     retry:
         The per-point retry/backoff policy.
     point_timeout:
@@ -161,268 +140,16 @@ class ResilienceOptions:
         Root of a content-addressed
         :class:`~repro.backends.cache.ResultCache`. Every evaluated
         point is stored under its canonical request hash and re-used
-        by later sweeps that request the identical evaluation —
-        unlike the journal (scoped to one sweep configuration), the
-        cache is shared across figures, seeds and runs. ``None``
-        disables caching.
+        by later sweeps that request the identical evaluation, so
+        re-running an interrupted sweep with the same ``cache_dir``
+        resumes it. The cache is shared across figures, seeds and
+        runs. ``None`` disables caching.
     """
 
-    checkpoint_dir: Optional[str] = None
-    resume: bool = True
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     point_timeout: Optional[float] = None
     fault_plan: Optional[Any] = None
     cache_dir: Optional[str] = None
-
-
-@dataclass
-class JournalState:
-    """What :meth:`CheckpointJournal.load` recovered."""
-
-    outcomes: Dict[PointKey, Outcome] = field(default_factory=dict)
-    notes: List[str] = field(default_factory=list)
-
-
-class CheckpointJournal:
-    """Append-only JSON-lines journal of completed sweep points.
-
-    Layout: a ``header`` record carrying a fingerprint of the sweep
-    configuration, followed by one ``point`` record per completed
-    point. Every append is flushed and fsync'd, so after a crash the
-    journal holds every completed point except, at worst, a torn final
-    line — which :meth:`load` detects and truncates.
-    """
-
-    VERSION = 1
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._handle = None
-
-    # ------------------------------------------------------------------
-    # Fingerprinting
-    # ------------------------------------------------------------------
-    @staticmethod
-    def fingerprint(
-        figure_id: str,
-        metric: str,
-        seed: int,
-        plan: Any,
-        point_signatures: Sequence[Tuple[str, float, str]],
-        backend: str = "san-sim",
-    ) -> str:
-        """A stable digest of everything that determines point values.
-
-        Two sweeps share a fingerprint iff resuming one from the
-        other's journal is sound. Wall-clock budgets and retry
-        policies are deliberately excluded: they affect *whether* a
-        point completes, never its value. The event kernel is also
-        excluded — the kernels are trajectory-preserving, so a journal
-        written under one kernel resumes soundly under the other —
-        but the evaluation *backend* is included: different backends
-        legitimately produce different values for the same point.
-        """
-        import hashlib
-
-        digest = hashlib.blake2b(digest_size=16)
-        core = (
-            figure_id,
-            metric,
-            int(seed),
-            float(getattr(plan, "warmup", 0.0)),
-            float(getattr(plan, "observation", 0.0)),
-            int(getattr(plan, "replications", 1)),
-            float(getattr(plan, "confidence", 0.95)),
-        )
-        if backend != "san-sim":
-            # Appended conditionally so journals written before the
-            # backend layer existed keep resuming under the default.
-            core = core + (backend,)
-        digest.update(repr(core).encode("utf-8"))
-        for series, x, params_repr in point_signatures:
-            digest.update(f"{series}\x00{x!r}\x00{params_repr}\n".encode("utf-8"))
-        return digest.hexdigest()
-
-    # ------------------------------------------------------------------
-    # Reading / recovery
-    # ------------------------------------------------------------------
-    def load(self, expected_fingerprint: str) -> JournalState:
-        """Recover completed points from an existing journal.
-
-        * No journal: empty state.
-        * Unreadable or corrupt header: the journal is discarded (a
-          torn first write left nothing recoverable) with a note.
-        * Fingerprint mismatch: :class:`CheckpointError` — resuming a
-          different configuration would silently mix results.
-        * Corrupt line after a valid prefix: the prefix is kept, the
-          file is atomically truncated back to it, and a note records
-          how many records were dropped.
-        """
-        state = JournalState()
-        if not os.path.exists(self.path):
-            return state
-        with open(self.path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        if not lines:
-            return state
-
-        header: Optional[Dict[str, Any]] = None
-        valid_lines: List[str] = []
-        dropped = 0
-        for position, line in enumerate(lines):
-            record = self._parse_record(line)
-            if record is None:
-                dropped = len(lines) - position
-                break
-            if position == 0:
-                if record.get("kind") != "header" or "fingerprint" not in record:
-                    record = None
-                    dropped = len(lines)
-                    break
-                header = record
-            elif record.get("kind") == "point":
-                state.outcomes[(record["series"], float(record["x"]))] = (
-                    record["series"],
-                    float(record["x"]),
-                    float(record["mean"]),
-                    float(record["half_width"]),
-                )
-            else:
-                # Unknown record kind: treat as corruption from here on.
-                dropped = len(lines) - position
-                break
-            valid_lines.append(line)
-
-        if header is None:
-            state.outcomes.clear()
-            state.notes.append(
-                f"checkpoint journal {self.path!r} had an unusable header; "
-                "starting the sweep from scratch"
-            )
-            self.discard()
-            return state
-        if header["fingerprint"] != expected_fingerprint:
-            raise CheckpointError(
-                f"checkpoint journal {self.path!r} was written by a different "
-                f"sweep configuration (journal fingerprint "
-                f"{header['fingerprint']}, expected {expected_fingerprint}); "
-                "pass resume=False (CLI: --no-resume) to discard it"
-            )
-        if dropped:
-            state.notes.append(
-                f"checkpoint journal {self.path!r}: dropped {dropped} corrupt "
-                f"trailing line(s); kept {len(state.outcomes)} intact point(s)"
-            )
-            self._rewrite(valid_lines)
-        return state
-
-    @staticmethod
-    def _parse_record(line: str) -> Optional[Dict[str, Any]]:
-        line = line.strip()
-        if not line:
-            return None
-        try:
-            record = json.loads(line)
-        except ValueError:
-            return None
-        if not isinstance(record, dict):
-            return None
-        if record.get("kind") == "point":
-            required = ("series", "x", "mean", "half_width")
-            if any(name not in record for name in required):
-                return None
-            if not isinstance(record["series"], str):
-                return None
-            try:
-                float(record["x"]), float(record["mean"]), float(record["half_width"])
-            except (TypeError, ValueError):
-                return None
-        return record
-
-    def _rewrite(self, lines: Sequence[str]) -> None:
-        """Atomically replace the journal with the given valid prefix."""
-        directory = os.path.dirname(self.path) or "."
-        fd, tmp_path = tempfile.mkstemp(
-            dir=directory, prefix=".journal-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                for line in lines:
-                    handle.write(line + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
-
-    # ------------------------------------------------------------------
-    # Writing
-    # ------------------------------------------------------------------
-    def begin(self, fingerprint: str, meta: Dict[str, Any]) -> None:
-        """Open the journal for appending, writing a header if new."""
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        fresh = not os.path.exists(self.path) or os.path.getsize(self.path) == 0
-        self._handle = open(self.path, "a", encoding="utf-8")
-        if fresh:
-            header = {"kind": "header", "version": self.VERSION,
-                      "fingerprint": fingerprint}
-            header.update(meta)
-            self._append(header)
-
-    def record_point(
-        self,
-        index: int,
-        series: str,
-        x: float,
-        mean: float,
-        half_width: float,
-        attempt: int,
-        seed_used: int,
-    ) -> None:
-        """Durably journal one completed point."""
-        self._append(
-            {
-                "kind": "point",
-                "index": index,
-                "series": series,
-                "x": x,
-                "mean": mean,
-                "half_width": half_width,
-                "attempt": attempt,
-                "seed_used": seed_used,
-            }
-        )
-
-    def _append(self, record: Dict[str, Any]) -> None:
-        if self._handle is None:
-            raise CheckpointError(
-                f"journal {self.path!r} is not open; call begin() first"
-            )
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def discard(self) -> None:
-        """Delete any existing journal file."""
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            pass
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "CheckpointJournal":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
 
 @dataclass
@@ -473,8 +200,8 @@ class _PendingQueue:
 
 
 class SweepSupervisor:
-    """Retry/journal policy driver: runs point tasks to completion
-    over any executor.
+    """Retry policy driver: runs point tasks to completion over any
+    executor.
 
     The supervisor owns *policy* — which attempt to run next, when a
     failed attempt may retry (exponential backoff, same seed), when a
@@ -491,11 +218,11 @@ class SweepSupervisor:
         ``1`` builds a :class:`~repro.exec.serial.SerialExecutor`,
         ``>= 2`` a :class:`~repro.exec.pool.PoolExecutor`.
     on_success:
-        Callback ``(task, outcome, attempt, seed_used) -> None`` fired
-        (in the supervisor process) after each completed point —
-        journal append, progress reporting and fault-plan abort hooks
-        live there. Exceptions it raises propagate: an abort injected
-        mid-sweep behaves exactly like the process being killed.
+        Callback ``() -> None`` fired (in the supervisor process) after
+        each completed point — progress reporting and fault-plan abort
+        hooks live there. Exceptions it raises propagate: an abort
+        injected mid-sweep behaves exactly like the process being
+        killed.
     clock / sleep / pool_factory:
         Injectable time source, sleep function and worker-pool
         constructor (defaults: ``time.monotonic``, ``time.sleep``,
@@ -517,9 +244,7 @@ class SweepSupervisor:
         self,
         options: ResilienceOptions,
         processes: int = 1,
-        on_success: Optional[
-            Callable[[EvaluationTask, Outcome, int, int], None]
-        ] = None,
+        on_success: Optional[Callable[[], None]] = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
         pool_factory: Optional[Callable[[], Any]] = None,
@@ -655,7 +380,7 @@ class SweepSupervisor:
         result.outcomes[task.index] = outcome
         result.attempts[task.index] = attempt + 1
         if self.on_success is not None:
-            self.on_success(task, outcome, attempt, task.seed)
+            self.on_success()
 
     def _record_attempt_failure(
         self,
@@ -683,7 +408,3 @@ class SweepSupervisor:
                     traceback=payload.get("traceback", ""),
                 )
             )
-
-    #: Kept under its historical name: pool shutdown-error semantics
-    #: are pinned by the tier-1 tests through this alias.
-    _shutdown_pool = staticmethod(shutdown_pool)

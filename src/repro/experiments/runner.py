@@ -8,21 +8,19 @@ returns a :class:`FigureResult` shaped like the paper's plot: an
 x-grid and one series of y-values per curve.
 
 Execution is fault tolerant (see :mod:`repro.experiments.resilience`):
-with a ``checkpoint_dir`` every completed point is journaled and an
-interrupted sweep resumes bit-identically; failed or hung points are
-retried on their own seed with exponential backoff and, if they never
-succeed, reported
-as structured :class:`~repro.experiments.resilience.FailureReport`
-entries on the figure instead of aborting the other points. With a
-``cache_dir`` every evaluated point is also stored in a
-content-addressed :class:`~repro.backends.cache.ResultCache`, so a
-repeated or resumed sweep re-uses identical points *across runs* —
-a warm cache re-runs a completed figure with zero new evaluations.
+failed or hung points are retried on their own seed with exponential
+backoff and, if they never succeed, reported as structured
+:class:`~repro.experiments.resilience.FailureReport` entries on the
+figure instead of aborting the other points. With a ``cache_dir``
+every evaluated point is stored in a content-addressed
+:class:`~repro.backends.cache.ResultCache`, so a repeated sweep
+re-uses identical points *across runs*: a warm cache re-runs a
+completed figure with zero new evaluations, and re-running an
+interrupted sweep over the same cache resumes it bit-identically.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -30,7 +28,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..backends import (
     DERIVED_METRICS,
     EvaluationPlan,
-    ResultCache,
     UnsupportedMetricError,
     UnsupportedParametersError,
     all_backends,
@@ -38,12 +35,11 @@ from ..backends import (
 )
 from ..core.parameters import ModelParameters
 from ..core.simulation import SimulationPlan
-from ..exec import EvaluationTask, Executor, make_executor
+from ..exec import EvaluationTask, Executor, cached_answer, make_executor
 from ..obs import RunManifest, metrics as obs_metrics
 from ..obs.trace import JsonlTraceSink, default_sink
 from ..san import profiling
 from .resilience import (
-    CheckpointJournal,
     FailureReport,
     Outcome,
     ResilienceOptions,
@@ -160,16 +156,20 @@ def _resolve_executor(
     return executor, False
 
 
+def sweep_base_metric(metric: str) -> str:
+    """The metric the backends produce for a sweep reporting
+    ``metric``: derived metrics (``total_useful_work``) resolve to
+    their base; the scale factor is applied at assembly time from
+    each point's own processor count."""
+    return DERIVED_METRICS.get(metric, metric)
+
+
 def sweep_eval_plan(metric: str, plan: SimulationPlan,
                     seed: int) -> EvaluationPlan:
-    """The evaluation plan a sweep roots every point's task in.
-
-    Derived metrics (``total_useful_work``) resolve to the base metric
-    the backends actually produce; the scale factor is applied at
-    assembly time from each point's own processor count.
-    """
-    base_metric = DERIVED_METRICS.get(metric, metric)
-    return EvaluationPlan(metrics=(base_metric,), simulation=plan, seed=seed)
+    """The evaluation plan a sweep roots every point's task in."""
+    return EvaluationPlan(
+        metrics=(sweep_base_metric(metric),), simulation=plan, seed=seed
+    )
 
 
 def build_sweep_tasks(
@@ -179,18 +179,15 @@ def build_sweep_tasks(
     backend: str,
     cache_dir: Optional[str] = None,
     priority: int = 0,
-    skip_keys: Optional[Dict[Tuple[str, float], Outcome]] = None,
 ) -> List[EvaluationTask]:
     """The :class:`~repro.exec.EvaluationTask` list for a sweep.
 
-    One task per point not already answered in ``skip_keys``, seeded
-    ``seed + index`` (the historical per-point convention; retries
+    One task per point, seeded ``seed + index`` (the historical per-point convention; retries
     replay it). This is the single construction recipe for
     the in-process sweep (:func:`run_sweep`) and the service-mode job
     API (:mod:`repro.service.jobs`), so both submit byte-identical
     work and coalesce on the same cache keys.
     """
-    skip = skip_keys or {}
     return [
         EvaluationTask(
             index=index,
@@ -206,7 +203,6 @@ def build_sweep_tasks(
             cache_dir=cache_dir,
         )
         for index, point in enumerate(points)
-        if (point.series, float(point.x)) not in skip
     ]
 
 
@@ -214,9 +210,9 @@ def _check_unique_points(points: Sequence[SweepPoint]) -> None:
     """Reject sweeps with colliding ``(series, x)`` keys.
 
     Two points sharing a key are ambiguous everywhere downstream: the
-    figure plots one y per (series, x), the journal resumes by that
-    key, and the total-useful-work scaling must know *which* point's
-    processor count applies.
+    figure plots one y per (series, x), cache-served points are
+    assembled by that key, and the total-useful-work scaling must know
+    *which* point's processor count applies.
     """
     seen: Dict[Tuple[str, float], int] = {}
     for index, point in enumerate(points):
@@ -296,16 +292,15 @@ def run_sweep(
     the backend's capabilities are checked against the metric and
     every point's parameters before any work starts.
 
-    ``resilience`` configures checkpointing, resume, retries, timeouts
-    and fault injection; see
+    ``resilience`` configures the result cache, retries, timeouts and
+    fault injection; see
     :class:`~repro.experiments.resilience.ResilienceOptions`. With a
-    ``checkpoint_dir`` the sweep journals every completed point to
-    ``<checkpoint_dir>/<figure_id>.journal.jsonl`` and a re-run resumes
-    from it, producing a figure bit-identical to an uninterrupted run.
-    With a ``cache_dir`` every evaluated point is stored in (and looked
-    up from) a content-addressed result cache keyed by the canonical
+    ``cache_dir`` every evaluated point is stored in (and looked up
+    from) a content-addressed result cache keyed by the canonical
     parameter hash, backend id/version and schema version, so repeated
-    sweeps skip already-evaluated points across runs.
+    sweeps skip already-evaluated points across runs, and an
+    interrupted sweep re-run over the same cache resumes to a figure
+    bit-identical to an uninterrupted run.
 
     ``executor`` selects the execution substrate (see
     :mod:`repro.exec`): ``None`` keeps the legacy behavior (a serial
@@ -326,7 +321,6 @@ def run_sweep(
 
     options = resilience or ResilienceOptions()
     eval_plan = sweep_eval_plan(metric, plan, seed)
-    base_metric = eval_plan.metrics[0]
     backend_obj = _check_backend(backend, metric, points, eval_plan)
 
     total = len(points)
@@ -335,98 +329,35 @@ def run_sweep(
         # Flat sweeps carry no note so pre-zoo archives stay
         # bit-identical; non-flat runs are visibly labelled.
         notes.append(f"checkpoint strategy: {plan.strategy}")
+    # A point already answered in the result cache is served from it;
+    # its outcome keeps the task's declared x (and its type), exactly
+    # as an executed point does, so warm archives match cold ones.
     completed: Dict[Tuple[str, float], Outcome] = {}
-    journal: Optional[CheckpointJournal] = None
-    if options.checkpoint_dir:
-        journal = CheckpointJournal(
-            os.path.join(options.checkpoint_dir, f"{figure_id}.journal.jsonl")
-        )
-        fingerprint = CheckpointJournal.fingerprint(
-            figure_id,
-            metric,
-            seed,
-            plan,
-            [(p.series, float(p.x), repr(p.params)) for p in points],
-            backend=backend,
-        )
-        if options.resume:
-            state = journal.load(fingerprint)
-            completed = state.outcomes
-            notes.extend(state.notes)
+    tasks: List[EvaluationTask] = []
+    for task in build_sweep_tasks(
+        points, eval_plan, seed, backend, cache_dir=options.cache_dir,
+    ):
+        answer = cached_answer(task)
+        if answer is None:
+            tasks.append(task)
         else:
-            journal.discard()
-        journal.begin(
-            fingerprint,
-            {"figure_id": figure_id, "metric": metric, "seed": seed,
-             "n_points": total, "backend": backend},
+            completed[(task.series, float(task.x))] = answer.outcome
+    if completed:
+        notes.append(
+            f"result cache: {len(completed)} of {total} point(s) reused "
+            f"from {options.cache_dir}"
         )
-        if completed:
-            notes.append(
-                f"resumed from checkpoint journal: {len(completed)} of "
-                f"{total} point(s) already simulated"
-            )
-
-    points_from_journal = len(completed)
-    cache = ResultCache(options.cache_dir) if options.cache_dir else None
-    cache_hits = 0
-    if cache is not None:
-        for index, point in enumerate(points):
-            key = (point.series, float(point.x))
-            if key in completed:
-                continue
-            cached = cache.get(
-                backend_obj, point.params, eval_plan.with_seed(seed + index)
-            )
-            if cached is None:
-                continue
-            value = cached.metrics.get(base_metric)
-            if value is None:
-                continue
-            # Keep the point's declared x (and its type): executed
-            # points carry task.x through unchanged, so a cache-served
-            # point must too or warm archives stop being bit-identical
-            # to cold ones (131072 would become 131072.0).
-            outcome: Outcome = (
-                point.series, point.x, value.mean, value.half_width
-            )
-            completed[key] = outcome
-            cache_hits += 1
-            if journal is not None:
-                journal.record_point(
-                    index, outcome[0], outcome[1], outcome[2], outcome[3],
-                    attempt=0, seed_used=seed + index,
-                )
-        if cache_hits:
-            notes.append(
-                f"result cache: {cache_hits} of {total} point(s) reused "
-                f"from {options.cache_dir}"
-            )
-
-    done = len(completed)
+    cache_hits = done = len(completed)
     if progress and done:
         progress(done, total)
 
-    tasks = build_sweep_tasks(
-        points, eval_plan, seed, backend,
-        cache_dir=options.cache_dir, skip_keys=completed,
-    )
-
-    completed_this_run = 0
-
-    def on_success(task: EvaluationTask, outcome: Outcome, attempt: int,
-                   seed_used: int) -> None:
-        nonlocal done, completed_this_run
-        if journal is not None:
-            journal.record_point(
-                task.index, outcome[0], outcome[1], outcome[2], outcome[3],
-                attempt, seed_used,
-            )
+    def on_success() -> None:
+        nonlocal done
         done += 1
-        completed_this_run += 1
         if progress:
             progress(done, total)
         if options.fault_plan is not None:
-            options.fault_plan.after_success(completed_this_run)
+            options.fault_plan.after_success(done - cache_hits)
 
     worker_count = processes if processes is not None else 1
     exec_instance, owns_executor = _resolve_executor(
@@ -443,8 +374,6 @@ def run_sweep(
     finally:
         if owns_executor and exec_instance is not None:
             exec_instance.close()
-        if journal is not None:
-            journal.close()
 
     outcomes_by_key: Dict[Tuple[str, float], Outcome] = dict(completed)
     for index, outcome in supervised.outcomes.items():
@@ -493,7 +422,6 @@ def run_sweep(
         max(0, attempts - 1) for attempts in supervised.attempts.values()
     )
     reg.counter("sweep.points_total").inc(total)
-    reg.counter("sweep.points_from_journal").inc(points_from_journal)
     reg.counter("sweep.points_from_cache").inc(cache_hits)
     reg.counter("sweep.evaluations").inc(new_evaluations)
     reg.counter("sweep.retries").inc(retries)
@@ -503,7 +431,7 @@ def run_sweep(
 
     execution_section: Dict[str, object] = dict(supervised.execution or {})
     if not execution_section:
-        # Nothing needed executing (fully journaled/cached sweep):
+        # Nothing needed executing (fully cached sweep):
         # still record which executor *would* have run.
         execution_section = {
             "executor": (
@@ -528,7 +456,6 @@ def run_sweep(
         seed=seed,
         plan=asdict(plan),
         points_total=total,
-        points_from_journal=points_from_journal,
         points_from_cache=cache_hits,
         new_evaluations=new_evaluations,
         retries=retries,

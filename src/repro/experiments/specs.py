@@ -29,7 +29,7 @@ class FigureSpec:
     Attributes
     ----------
     figure_id:
-        The figure's id (CLI name, archive filename, journal name).
+        The figure's id (CLI name, archive filename).
     title:
         Plot title, as rendered in reports.
     x_label:

@@ -3,7 +3,7 @@
 A manifest makes a figure *attributable*: it records what produced
 the numbers (backend id and version, package version, best-effort git
 describe), how (plan, RNG seed policy), and at what cost (points
-evaluated vs reused from cache or journal, retries, failures, kernel
+evaluated vs reused from the result cache, retries, failures, kernel
 statistics, wall clock). It is written atomically next to the figure
 archive as ``<figure_id>.manifest.json``, and ``python -m repro obs``
 re-validates and renders it.
@@ -87,8 +87,9 @@ class RunManifest:
         observation, replications, confidence, kernel).
     points_total:
         Points the sweep declared.
-    points_from_journal / points_from_cache:
-        Points reused (checkpoint resume; content-addressed cache).
+    points_from_cache:
+        Points reused from the content-addressed result cache (a warm
+        re-run, or the resume of an interrupted one).
     new_evaluations:
         Points actually evaluated by this run — **zero on a warm
         cache**, the property the CI smoke job asserts.
@@ -118,8 +119,8 @@ class RunManifest:
         per-point attempt counts. Additive and optional: the schema
         version is unchanged, old manifests load as ``None``.
 
-    Manifests written before the backend resilience layer was removed
-    may carry a ``resilience`` key; loading ignores it.
+    Manifests written by older versions may carry a ``resilience`` key
+    or a ``points.from_journal`` count; loading ignores both.
     """
 
     figure_id: str
@@ -131,7 +132,6 @@ class RunManifest:
     preset: Optional[str] = None
     plan: Dict[str, Any] = field(default_factory=dict)
     points_total: int = 0
-    points_from_journal: int = 0
     points_from_cache: int = 0
     new_evaluations: int = 0
     retries: int = 0
@@ -165,7 +165,6 @@ class RunManifest:
             "plan": dict(self.plan),
             "points": {
                 "total": self.points_total,
-                "from_journal": self.points_from_journal,
                 "from_cache": self.points_from_cache,
                 "new_evaluations": self.new_evaluations,
                 "retries": self.retries,
@@ -209,7 +208,6 @@ class RunManifest:
                 preset=payload.get("preset"),
                 plan=dict(payload.get("plan") or {}),
                 points_total=int(points.get("total", 0)),
-                points_from_journal=int(points.get("from_journal", 0)),
                 points_from_cache=int(points.get("from_cache", 0)),
                 new_evaluations=int(points.get("new_evaluations", 0)),
                 retries=int(points.get("retries", 0)),
@@ -301,7 +299,6 @@ def render_manifest(manifest: RunManifest) -> str:
         + (f"   preset: {manifest.preset}" if manifest.preset else ""),
         f"  repro: {provenance}",
         f"  points: {manifest.points_total} total = "
-        f"{manifest.points_from_journal} journal + "
         f"{manifest.points_from_cache} cache + "
         f"{manifest.new_evaluations} evaluated"
         f" ({manifest.retries} retries, {manifest.failed_points} failed)",
@@ -384,39 +381,11 @@ def render_manifest(manifest: RunManifest) -> str:
     return "\n".join(lines)
 
 
-def tenant_counters(counters: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    """Group ``tenant.<label>.<kind>`` counters by tenant label.
-
-    The service layer accounts per tenant with flat counter names
-    (``tenant.ci.submitted``, ``tenant.ci.evaluated`` ...); this
-    regroups them into ``{label: {kind: value}}`` for rendering.
-    Labels may themselves contain dots, so the *last* segment is the
-    kind.
-    """
-    grouped: Dict[str, Dict[str, Any]] = {}
-    for name, value in counters.items():
-        if not name.startswith("tenant."):
-            continue
-        rest = name[len("tenant."):]
-        label, _, kind = rest.rpartition(".")
-        if not label or not kind:
-            continue
-        grouped.setdefault(label, {})[kind] = value
-    return grouped
-
-
 def render_metrics_snapshot(payload: Dict[str, Any]) -> str:
     """Human-readable report of one metrics snapshot (the
-    ``--metrics-out`` / service ``*.metrics.json`` format).
-
-    Renders counters, gauges and timing summaries, plus a per-tenant
-    rollup of the service layer's ``tenant.<label>.<kind>`` counters
-    (submitted / served_from_cache / evaluated / failed) when any are
-    present.
-    """
+    ``--metrics-out`` / service ``*.metrics.json`` format): counters,
+    gauges and timing summaries."""
     lines: List[str] = []
-    counters = payload.get("counters") or {}
-    tenants = tenant_counters(counters)
     for section in ("counters", "gauges"):
         values = payload.get(section) or {}
         if values:
@@ -432,23 +401,4 @@ def render_metrics_snapshot(payload: Dict[str, Any]) -> str:
                 f"total={summary.get('total_seconds', 0.0):.3f}s "
                 f"mean={summary.get('mean_seconds', 0.0):.4f}s"
             )
-    if tenants:
-        lines.append("tenants:")
-        for label, kinds in sorted(tenants.items()):
-            shown = ", ".join(
-                f"{kind}={kinds[kind]}"
-                for kind in (
-                    "submitted", "served_from_cache", "evaluated", "failed"
-                )
-                if kind in kinds
-            )
-            extra = ", ".join(
-                f"{kind}={value}" for kind, value in sorted(kinds.items())
-                if kind not in (
-                    "submitted", "served_from_cache", "evaluated", "failed"
-                )
-            )
-            if extra:
-                shown = f"{shown}, {extra}" if shown else extra
-            lines.append(f"  {label:<20} {shown}")
     return "\n".join(lines)

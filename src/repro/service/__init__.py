@@ -10,15 +10,17 @@ into a small multi-process evaluation *service*:
   in-flight lease, and exiting cleanly on SIGTERM after the current
   task.
 * :mod:`repro.service.jobs` — the job API: submit a figure sweep as
-  a named, tenant-labelled job (a JSON record next to the queue),
-  poll its status against the results store, and collect the
-  finished figure without ever blocking a worker. Collected archives
-  are bit-identical to a serial run of the same figure.
+  a named job (a JSON record next to the queue), poll its status
+  against its result cache, and collect the finished figure without
+  ever blocking a worker. Collected archives are bit-identical to a
+  serial run of the same figure.
 
 Everything speaks the queue's existing on-disk contract — atomic
 renames for claims, heartbeat leases for crash recovery, canonical
-cache keys for dedup — so executors, workers and jobs can share one
-queue directory concurrently. See ``docs/EXECUTION.md`` ("Service
+cache keys for dedup, and the :class:`~repro.backends.cache.ResultCache`
+as the one place answers live — so executors, workers, jobs and
+serial sweeps can share one queue directory and one cache
+concurrently. See ``docs/EXECUTION.md`` ("Service
 mode") for the operational walk-through.
 """
 

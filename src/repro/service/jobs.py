@@ -1,32 +1,32 @@
 """The job API of the evaluation service: submit, poll, collect.
 
 A *job* is one figure sweep submitted to a shared queue directory as
-a named, tenant-labelled unit: the submitter persists every point's
+a named unit: the submitter persists every point's
 :class:`~repro.exec.EvaluationTask` into the queue (coalescing
 against work already queued or already answered) and writes a JSON
 *job record* next to the queue — ``<queue_dir>/jobs/<job_id>.json`` —
-holding the point list, their cache keys, the priority, the tenant
-label, and submitted/started/finished timestamps. Workers
-(:mod:`repro.service.worker`) drain the queue without knowing about
-jobs at all; a job is *observed* to completion by polling the queue's
-results store (:func:`job_status`) and its figure is assembled from
-those stored results (:func:`collect_job`) without ever blocking a
-worker.
+holding the point list, their cache keys, the priority, the result
+cache the answers land in, and submitted/started/finished timestamps.
+Workers (:mod:`repro.service.worker`) drain the queue without knowing
+about jobs at all; a job is *observed* to completion by polling its
+:class:`~repro.backends.cache.ResultCache` (:func:`job_status`) and
+its figure is assembled from those cache entries (:func:`collect_job`)
+without ever blocking a worker. A job submitted without a cache uses
+the queue's own, ``<queue_dir>/cache``, resolved against the reader's
+``queue_dir`` (the record keeps ``cache_dir`` ``None``); a named cache
+is recorded as an absolute path, so status, collect and workers find
+the answers from any working directory.
 
 Because tasks are built by the exact recipe the in-process sweep uses
-(:func:`repro.experiments.runner.build_sweep_tasks`) and results are
-content-addressed by the same canonical digest as the result cache, a
-collected job archive is bit-identical to a serial
-``repro run-figure`` of the same figure/preset/seed — the CI
-service-smoke job's core assertion.
+(:func:`repro.experiments.runner.build_sweep_tasks`) and the job reads
+the same content-addressed entries a sweep writes, a collected job
+archive is bit-identical to a serial ``repro run-figure`` of the same
+figure/preset/seed — and a job submitted over a cache that a serial
+run already filled enqueues nothing at all.
 
-Per-tenant accounting: submission increments
-``tenant.<label>.submitted`` and ``tenant.<label>.served_from_cache``
-in the process metrics registry (and mirrors the totals into the job
-record); workers increment ``tenant.<label>.evaluated`` / ``.failed``
-on their side. Both persist snapshots under ``<queue_dir>/obs/`` so
-``repro obs`` can render the tenant counters after every process has
-exited.
+Submitters and workers persist metrics snapshots under
+``<queue_dir>/obs/`` so ``repro obs`` can render them after every
+process has exited.
 """
 
 from __future__ import annotations
@@ -37,8 +37,15 @@ import uuid
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from ..exec import TaskError, TaskResult
-from ..exec.queue import atomic_write_json, next_counter, pending_name
+from ..backends import MetricValue, ResultCache
+from ..exec.queue import (
+    atomic_write_json,
+    queue_cache_dir,
+    queued_files,
+    with_queue_cache,
+    write_pending,
+)
+from ..exec.task import cached_answer
 from ..obs import metrics as obs_metrics
 from ..obs.manifest import RunManifest
 
@@ -105,16 +112,19 @@ class JobRecord:
 
     ``points`` holds one entry per sweep point:
     ``{"index", "series", "x", "key", "n_processors"}`` — everything
-    :func:`collect_job` needs to assemble the figure from the results
-    store (the raw ``x`` preserves the declared numeric type so the
-    collected archive matches a serial run byte for byte, and
-    ``n_processors`` scales ``total_useful_work``).
+    :func:`collect_job` needs to assemble the figure from the result
+    cache at ``cache_dir`` (the raw ``x`` preserves the declared
+    numeric type so the collected archive matches a serial run byte
+    for byte, and ``n_processors`` scales ``total_useful_work``).
+    ``cache_dir`` is ``None`` for a job answering into the queue's own
+    cache, ``<queue_dir>/cache``.
+    Keys this version does not know (older records carry some) are
+    ignored on load.
     """
 
     job_id: str
     figure_id: str
     name: str
-    tenant: str
     preset: str
     seed: int
     backend: str
@@ -125,6 +135,7 @@ class JobRecord:
     backend_exact: bool
     backend_version: int
     priority: int = 0
+    cache_dir: Optional[str] = None
     plan: Dict[str, Any] = field(default_factory=dict)
     points: List[Dict[str, Any]] = field(default_factory=list)
     submitted: int = 0
@@ -142,7 +153,6 @@ class JobRecord:
             "job_id": self.job_id,
             "figure_id": self.figure_id,
             "name": self.name,
-            "tenant": self.tenant,
             "preset": self.preset,
             "seed": self.seed,
             "backend": self.backend,
@@ -153,6 +163,7 @@ class JobRecord:
             "backend_exact": self.backend_exact,
             "backend_version": self.backend_version,
             "priority": self.priority,
+            "cache_dir": self.cache_dir,
             "plan": dict(self.plan),
             "points": [dict(point) for point in self.points],
             "submitted": self.submitted,
@@ -181,7 +192,6 @@ class JobRecord:
                 job_id=payload["job_id"],
                 figure_id=payload["figure_id"],
                 name=str(payload.get("name", "")),
-                tenant=str(payload.get("tenant", "default")),
                 preset=payload["preset"],
                 seed=int(payload["seed"]),
                 backend=payload["backend"],
@@ -192,6 +202,7 @@ class JobRecord:
                 backend_exact=bool(payload.get("backend_exact", False)),
                 backend_version=int(payload.get("backend_version", 0)),
                 priority=int(payload.get("priority", 0)),
+                cache_dir=payload.get("cache_dir"),
                 plan=dict(payload.get("plan") or {}),
                 points=[dict(point) for point in payload.get("points", [])],
                 submitted=int(payload.get("submitted", 0)),
@@ -214,7 +225,7 @@ class JobRecord:
 
 @dataclass
 class JobStatus:
-    """One poll of a job against the queue's results store."""
+    """One poll of a job against its result cache."""
 
     record: JobRecord
     state: str  # "submitted" | "running" | "done"
@@ -231,7 +242,6 @@ class JobStatus:
         return {
             "job_id": self.record.job_id,
             "figure_id": self.record.figure_id,
-            "tenant": self.record.tenant,
             "state": self.state,
             "done": self.done,
             "total": self.total,
@@ -245,8 +255,8 @@ class JobStatus:
     def render(self) -> str:
         """One human-readable status line."""
         return (
-            f"job {self.record.job_id} ({self.record.figure_id}, "
-            f"tenant {self.record.tenant}): {self.state} — "
+            f"job {self.record.job_id} ({self.record.figure_id}): "
+            f"{self.state} — "
             f"{self.done}/{self.total} point(s) answered, "
             f"{self.inflight} in flight, {self.pending} pending"
         )
@@ -278,32 +288,18 @@ def list_jobs(queue_dir: str) -> List[str]:
     )
 
 
-def _result_path(queue_dir: str, key: str) -> str:
-    return os.path.join(queue_dir, "results", f"{key}.json")
+def _answers(queue_dir: str, record: JobRecord) -> List[Optional[MetricValue]]:
+    """Each point's answer in the job's result cache (``None`` while
+    unanswered)."""
+    from ..experiments.runner import sweep_base_metric
 
-
-def _load_result(queue_dir: str, key: str) -> Optional[TaskResult]:
-    import json
-
-    try:
-        with open(_result_path(queue_dir, key), "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        return TaskResult.from_json_dict(payload)
-    except (OSError, ValueError, TaskError):
-        return None
-
-
-def _queued_key_files(queue_dir: str, key: str) -> List[str]:
-    suffix = f"-{key}.json"
-    found = []
-    for sub in ("pending", "inflight"):
-        directory = os.path.join(queue_dir, sub)
-        try:
-            names = os.listdir(directory)
-        except OSError:
-            continue
-        found.extend(name for name in names if name.endswith(suffix))
-    return found
+    cache = ResultCache(record.cache_dir or queue_cache_dir(queue_dir))
+    metric = sweep_base_metric(record.metric)
+    answers: List[Optional[MetricValue]] = []
+    for point in record.points:
+        cached = cache.lookup(record.backend, point["key"], (metric,))
+        answers.append(None if cached is None else cached.metric(metric))
+    return answers
 
 
 def submit_job(
@@ -313,7 +309,6 @@ def submit_job(
     seed: int = 0,
     max_points: Optional[int] = None,
     priority: int = 0,
-    tenant: str = "default",
     name: Optional[str] = None,
     backend: Optional[str] = None,
     cache_dir: Optional[str] = None,
@@ -325,11 +320,13 @@ def submit_job(
     Every point becomes a persisted pending task (FIFO counter and
     priority exactly as a :class:`~repro.exec.QueueExecutor`
     submission would write them, so executors and jobs share one
-    schedule). A point whose cache key is already answered in the
-    results store is counted ``served_from_cache`` and not enqueued; a
-    key already queued (pending or in flight) is counted ``coalesced``
-    and ridden on. Custom (non-sweep) figures raise :class:`JobError`
-    — they are solved, not swept, and have nothing to enqueue.
+    schedule), answering into ``cache_dir`` or else
+    ``<queue_dir>/cache``. A point already answered in that cache is
+    counted ``served_from_cache`` and not enqueued; a key already
+    queued (pending or in flight) for that same cache is counted
+    ``coalesced`` and ridden on.
+    Custom (non-sweep) figures raise :class:`JobError` — they are
+    solved, not swept, and have nothing to enqueue.
     """
     # Deferred imports: repro.service must stay importable without
     # dragging the whole experiments layer in at module import time.
@@ -358,17 +355,15 @@ def submit_job(
     if max_points is not None:
         points = points[:max_points]
     eval_plan = sweep_eval_plan(spec.metric, plan, seed)
+    if cache_dir:
+        cache_dir = os.path.abspath(cache_dir)
     tasks = build_sweep_tasks(
         points, eval_plan, seed, backend_name,
         cache_dir=cache_dir, priority=priority,
     )
 
-    pending_dir = os.path.join(queue_dir, "pending")
-    inflight_dir = os.path.join(queue_dir, "inflight")
-    for directory in (
-        pending_dir, inflight_dir, os.path.join(queue_dir, "results")
-    ):
-        os.makedirs(directory, exist_ok=True)
+    for sub in ("pending", "inflight"):
+        os.makedirs(os.path.join(queue_dir, sub), exist_ok=True)
 
     if job_id is None:
         job_id = f"{name or figure_id}-{uuid.uuid4().hex[:12]}"
@@ -376,7 +371,6 @@ def submit_job(
         job_id=job_id,
         figure_id=figure_id,
         name=name or figure_id,
-        tenant=tenant,
         preset=preset,
         seed=seed,
         backend=backend_name,
@@ -387,11 +381,11 @@ def submit_job(
         backend_exact=backend_obj.capabilities.exact,
         backend_version=backend_obj.backend_version,
         priority=priority,
+        cache_dir=cache_dir,
         plan=asdict(plan),
         submitted_unix=now(),
     )
 
-    reg = obs_metrics.registry()
     for task, point in zip(tasks, points):
         key = task.cache_key()
         record.points.append({
@@ -402,19 +396,13 @@ def submit_job(
             "n_processors": point.params.n_processors,
         })
         record.submitted += 1
-        reg.counter(f"tenant.{tenant}.submitted").inc()
-        if os.path.isfile(_result_path(queue_dir, key)):
+        if cached_answer(with_queue_cache(task, queue_dir)) is not None:
             record.served_from_cache += 1
-            reg.counter(f"tenant.{tenant}.served_from_cache").inc()
             continue
-        if _queued_key_files(queue_dir, key):
+        if queued_files(queue_dir, key, cache_dir):
             record.coalesced += 1
             continue
-        counter = next_counter(queue_dir, pending_dir, inflight_dir)
-        atomic_write_json(
-            os.path.join(pending_dir, pending_name(priority, counter, key)),
-            task.to_json_dict(),
-        )
+        write_pending(queue_dir, task, key)
     record.save(queue_dir)
     write_metrics_snapshot(queue_dir, f"submit-{job_id}")
     return record
@@ -425,24 +413,23 @@ def job_status(
     job_id: str,
     now: Callable[[], float] = time.time,
 ) -> JobStatus:
-    """Poll one job against the results store; never blocks a worker.
+    """Poll one job against its result cache; never blocks a worker.
 
     Updates the record's ``started_unix`` / ``finished_unix``
     timestamps (best effort, atomic rewrite) as progress is first
     observed.
     """
     record = load_job(queue_dir, job_id)
+    inflight_dir = os.path.join(queue_dir, "inflight")
     done = 0
     inflight = 0
     pending = 0
-    for point in record.points:
-        key = point["key"]
-        if os.path.isfile(_result_path(queue_dir, key)):
+    for point, answer in zip(record.points, _answers(queue_dir, record)):
+        if answer is not None:
             done += 1
-            continue
-        queued = _queued_key_files(queue_dir, key)
-        if any(os.path.isfile(os.path.join(queue_dir, "inflight", name))
-               for name in queued):
+        elif any(os.path.dirname(path) == inflight_dir
+                 for path in queued_files(
+                     queue_dir, point["key"], record.cache_dir)):
             inflight += 1
         else:
             pending += 1
@@ -472,7 +459,7 @@ def job_status(
 
 
 def collect_job(queue_dir: str, job_id: str):
-    """Assemble the finished job's figure from the results store.
+    """Assemble the finished job's figure from its result cache.
 
     Returns a :class:`~repro.experiments.runner.FigureResult`
     assembled exactly as :func:`~repro.experiments.runner.run_sweep`
@@ -485,9 +472,10 @@ def collect_job(queue_dir: str, job_id: str):
     from ..experiments.runner import FigureResult
 
     record = load_job(queue_dir, job_id)
+    answers = _answers(queue_dir, record)
     missing = [
-        point for point in record.points
-        if not os.path.isfile(_result_path(queue_dir, point["key"]))
+        point for point, answer in zip(record.points, answers)
+        if answer is None
     ]
     if missing:
         shown = ", ".join(
@@ -510,19 +498,13 @@ def collect_job(queue_dir: str, job_id: str):
             "carry no statistical information and archive comparison will "
             "not claim interval overlap from them"
         )
-    for point in record.points:
-        result = _load_result(queue_dir, point["key"])
-        if result is None or not result.ok:
-            raise JobError(
-                f"job {job_id!r}: stored result for {point['series']!r}@"
-                f"x={point['x']:g} is unreadable; re-submit the job"
-            )
+    for point, answer in zip(record.points, answers):
         x = point["x"]  # the record's raw x, type-preserving
         if record.metric == "total_useful_work":
             factor = point["n_processors"]
-            entry = (x, result.mean * factor, result.half_width * factor)
+            entry = (x, answer.mean * factor, answer.half_width * factor)
         else:
-            entry = (x, result.mean, result.half_width)
+            entry = (x, answer.mean, answer.half_width)
         figure.series.setdefault(point["series"], []).append(entry)
     for label in figure.series:
         figure.series[label].sort(key=lambda p: p[0])
@@ -535,14 +517,13 @@ def collect_job(queue_dir: str, job_id: str):
         preset=record.preset,
         plan=dict(record.plan),
         points_total=len(record.points),
+        points_from_cache=len(record.points),
         new_evaluations=0,
         metrics=obs_metrics.registry().snapshot(),
         execution={
             "executor": "service",
             "tasks_executed": 0,
-            "collected_from_results_store": len(record.points),
             "job_id": record.job_id,
-            "tenant": record.tenant,
         },
         notes=list(figure.notes),
     )

@@ -16,9 +16,10 @@ contract:
    attempt is retried in place under the sweep's
    :class:`~repro.experiments.resilience.RetryPolicy`, on the same
    seed;
-4. store an ok result in ``results/<key>.json`` (the same store
-   executors and the job API read), drop the claim, and append one
-   line to the worker's evaluation log.
+4. drop the claim and append one line to the worker's evaluation
+   log. The answer itself was stored by ``execute_task`` in the
+   task's result cache (``<queue_dir>/cache`` unless the submitter
+   named one) — the same entries executors and the job API read.
 
 Several workers share one queue directory safely: the rename in step
 2 is the mutual exclusion, and the integration tests assert the
@@ -31,13 +32,11 @@ stored, and the claim is released before the process exits — a
 drained SIGTERM never creates an orphan for the janitor to recover.
 
 Accounting: each executed task (however many attempts it took)
-increments
-``tenant.<label>.evaluated`` or ``.failed`` (the tenant comes from
-the job records next to the queue; tasks submitted outside any job
-count under ``anonymous``), and the worker persists its metrics
-snapshot to ``<queue_dir>/obs/worker-<id>.metrics.json`` after every
-task so ``repro obs`` can render the tenant counters while the
-worker is alive or after it exited.
+increments ``worker.evaluated`` or ``worker.failed``, and the worker
+persists its metrics snapshot to
+``<queue_dir>/obs/<worker_id>.metrics.json`` after every task so
+``repro obs`` can render it while the worker is alive or after it
+exited.
 """
 
 from __future__ import annotations
@@ -46,14 +45,14 @@ import json
 import os
 import signal
 import time
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..exec import InflightLease, TaskError, TaskResult
 from ..exec.queue import (
     INFLIGHT_SWEEP_AGE_SECONDS,
-    atomic_write_json,
     claim_next_pending,
     sweep_orphaned_inflight,
+    with_queue_cache,
 )
 from ..exec.task import EvaluationTask, execute_task
 from ..obs import metrics as obs_metrics
@@ -127,20 +126,12 @@ class ServiceWorker:
         self.failed = 0
         self._pending_dir = os.path.join(queue_dir, "pending")
         self._inflight_dir = os.path.join(queue_dir, "inflight")
-        self._results_dir = os.path.join(queue_dir, "results")
-        self._workers_dir = os.path.join(queue_dir, "workers")
-        for directory in (
-            self._pending_dir, self._inflight_dir, self._results_dir,
-            self._workers_dir,
-        ):
+        workers_dir = os.path.join(queue_dir, "workers")
+        for directory in (self._pending_dir, self._inflight_dir, workers_dir):
             os.makedirs(directory, exist_ok=True)
         self._log_path = os.path.join(
-            self._workers_dir, f"{self.worker_id}.log.jsonl"
+            workers_dir, f"{self.worker_id}.log.jsonl"
         )
-        # key -> tenant label, lazily rebuilt from the job records so
-        # accounting follows jobs submitted after the worker started.
-        self._tenants: Dict[str, str] = {}
-        self._tenant_jobs_seen: int = -1
 
     # ------------------------------------------------------------------
     # Shutdown
@@ -158,37 +149,8 @@ class ServiceWorker:
         signal.signal(signal.SIGINT, handler)
 
     # ------------------------------------------------------------------
-    # Tenant accounting
+    # Accounting
     # ------------------------------------------------------------------
-    def _tenant_of(self, key: str) -> str:
-        """The tenant label owning a cache key (``anonymous`` when no
-        job record claims it)."""
-        tenant = self._tenants.get(key)
-        if tenant is not None:
-            return tenant
-        jobs_dir = os.path.join(self.queue_dir, "jobs")
-        try:
-            names = sorted(
-                name for name in os.listdir(jobs_dir)
-                if name.endswith(".json")
-            )
-        except OSError:
-            names = []
-        if len(names) != self._tenant_jobs_seen:
-            self._tenant_jobs_seen = len(names)
-            for name in names:
-                try:
-                    with open(
-                        os.path.join(jobs_dir, name), "r", encoding="utf-8"
-                    ) as handle:
-                        record = json.load(handle)
-                    label = str(record.get("tenant", "anonymous"))
-                    for point in record.get("points", []):
-                        self._tenants.setdefault(str(point.get("key")), label)
-                except (OSError, ValueError, AttributeError):
-                    continue  # a torn or foreign record never stops a worker
-        return self._tenants.get(key, "anonymous")
-
     def _log_evaluation(self, key: str, status: str) -> None:
         """Append one JSONL line per executed task (the integration
         tests count these per key to prove zero double-evaluations)."""
@@ -217,7 +179,11 @@ class ServiceWorker:
         try:
             with open(claimed, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
-            task = EvaluationTask.from_json_dict(payload)
+            # A task queued without a cache answers into the queue's
+            # own, resolved against this worker's queue_dir.
+            task = with_queue_cache(
+                EvaluationTask.from_json_dict(payload), self.queue_dir
+            )
         except (OSError, ValueError, TaskError):
             # Unreadable task file: drop it rather than poison the
             # queue — the same policy as QueueExecutor.drain.
@@ -230,21 +196,13 @@ class ServiceWorker:
         with InflightLease(claimed, self.orphan_age, self._clock):
             result = self._run_with_retries(task)
         self.executed += 1
-        tenant = self._tenant_of(key)
         reg = obs_metrics.registry()
         if result.ok:
-            try:
-                atomic_write_json(
-                    os.path.join(self._results_dir, f"{key}.json"),
-                    result.to_json_dict(),
-                )
-            except OSError:
-                pass
-            reg.counter(f"tenant.{tenant}.evaluated").inc()
+            reg.counter("worker.evaluated").inc()
             self._log_evaluation(key, "ok")
         else:
             self.failed += 1
-            reg.counter(f"tenant.{tenant}.failed").inc()
+            reg.counter("worker.failed").inc()
             self._log_evaluation(key, "error")
         try:
             os.unlink(claimed)

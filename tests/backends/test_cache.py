@@ -36,6 +36,18 @@ class TestResultCache:
         assert os.path.exists(path)
         assert cache.get(backend, params, TINY) == make_result()
 
+    def test_lookup_by_digest_serves_the_same_entry(self, tmp_path):
+        # The queue and the job API hold digests, not requests; they
+        # must read exactly the entry get() reads.
+        cache = ResultCache(str(tmp_path))
+        backend = get_backend("analytical")
+        params = ModelParameters(n_processors=8192)
+        cache.put(backend, params, TINY, make_result())
+        digest = cache.key(backend, params, TINY)
+        assert cache.lookup("analytical", digest) == make_result()
+        assert cache.lookup("ctmc", digest) is None
+        assert cache.lookup("analytical", "0" * 32) is None
+
     def test_key_depends_on_request(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         backend = get_backend("analytical")
@@ -149,31 +161,6 @@ class TestWarmCacheSweep:
             TINY_SIM, seed=6, resilience=options,
         )
         assert not any("result cache" in note for note in other_seed.notes)
-
-    def test_cache_composes_with_journal_resume(self, tmp_path):
-        # A cache-hydrated sweep journals its points like a normal run,
-        # so a subsequent journal resume sees them as completed.
-        cache_dir = str(tmp_path / "cache")
-        ckpt_dir = str(tmp_path / "journal")
-        no_journal = ResilienceOptions(cache_dir=cache_dir)
-        run_sweep(
-            "t", "t", "x", "useful_work_fraction", self.make_points(),
-            TINY_SIM, seed=5, resilience=no_journal,
-        )
-        with_journal = ResilienceOptions(
-            cache_dir=cache_dir, checkpoint_dir=ckpt_dir
-        )
-        first = run_sweep(
-            "t", "t", "x", "useful_work_fraction", self.make_points(),
-            TINY_SIM, seed=5, resilience=with_journal,
-        )
-        assert any("result cache: 2 of 2" in note for note in first.notes)
-        resumed = run_sweep(
-            "t", "t", "x", "useful_work_fraction", self.make_points(),
-            TINY_SIM, seed=5, resilience=with_journal,
-        )
-        assert resumed.series == first.series
-        assert any("resumed from checkpoint journal" in n for n in resumed.notes)
 
     def test_backend_recorded_on_figure(self, tmp_path):
         figure = run_sweep(

@@ -3,12 +3,10 @@
 The serial executor is the reference; the pool and queue executors
 must produce the same outcomes for the same submissions, satisfy the
 same protocol, and — driven through :func:`run_sweep` — yield
-bit-identical figures, journals, and archives. These tests run each
-assertion parametrically over all three executor ids.
+bit-identical figures, archives and result-cache entries. These tests
+run each assertion parametrically over all three executor ids.
 """
 
-import json
-import os
 
 import pytest
 
@@ -107,7 +105,7 @@ class TestProtocolConformance:
         # The retry layer interleaves submit() with drain(); a drained
         # executor must accept new work. A retry replays the seed, so
         # its answer is the first one again (the deduplicating queue
-        # serves it from its results store).
+        # serves it from the result cache).
         executor = build(name, tmp_path)
         task = make_tasks(1)[0]
         try:
@@ -137,9 +135,7 @@ class TestSweepParity:
         figure = run_sweep(
             "figx", "t", "x", "useful_work_fraction", sweep_points(),
             TINY_SIM, seed=5, backend="analytical",
-            resilience=ResilienceOptions(
-                checkpoint_dir=str(out_dir / "journal")
-            ),
+            resilience=ResilienceOptions(cache_dir=str(out_dir / "cache")),
             executor=executor,
             queue_dir=str(out_dir / "queue") if executor == "queue" else None,
         )
@@ -147,7 +143,7 @@ class TestSweepParity:
         return figure, out_dir
 
     @pytest.mark.parametrize("name", EXECUTOR_IDS)
-    def test_archive_and_journal_match_legacy_path(self, name, tmp_path):
+    def test_archive_and_cache_match_legacy_path(self, name, tmp_path):
         legacy, legacy_dir = self.run_one(tmp_path, "legacy", executor=None)
         figure, out_dir = self.run_one(tmp_path, name, executor=name)
         assert figure.series == legacy.series
@@ -158,13 +154,16 @@ class TestSweepParity:
         with open(out_dir / "archive" / "figx.json", encoding="utf-8") as fh:
             assert fh.read() == reference_archive
 
-        def journal_points(root):
-            path = root / "journal" / "figx.journal.jsonl"
-            with open(path, encoding="utf-8") as handle:
-                records = [json.loads(line) for line in handle]
-            return [r for r in records if r.get("kind") == "point"]
+        def cache_entries(root):
+            base = root / "cache"
+            return {
+                str(path.relative_to(base)): path.read_bytes()
+                for path in sorted(base.rglob("*.json"))
+            }
 
-        assert journal_points(out_dir) == journal_points(legacy_dir)
+        entries = cache_entries(legacy_dir)
+        assert len(entries) == len(sweep_points())
+        assert cache_entries(out_dir) == entries
 
     @pytest.mark.parametrize("name", EXECUTOR_IDS)
     def test_manifest_records_executor(self, name, tmp_path):

@@ -2,10 +2,10 @@
 
 The on-disk contract: pending task files sort lexicographically into
 the schedule, identical submissions coalesce on the canonical cache
-key, ok results persist in the results store so later executors (or a
-second run of the same figure) are served without re-evaluating, and
-a startup janitor requeues in-flight files orphaned by a crashed
-drainer.
+key, ok results persist in the result cache (``<queue_dir>/cache``
+unless a task names its own) so later executors (or a second run of
+the same figure) are served without re-evaluating, and a startup
+janitor requeues in-flight files orphaned by a crashed drainer.
 """
 
 import json
@@ -14,7 +14,13 @@ import time
 
 from repro.backends import EvaluationPlan
 from repro.core import HOUR, ModelParameters, SimulationPlan
-from repro.exec import EvaluationTask, InflightLease, QueueExecutor, TaskResult
+from repro.exec import (
+    EvaluationTask,
+    InflightLease,
+    QueueExecutor,
+    TaskResult,
+    execute_task,
+)
 from repro.exec.queue import (
     INFLIGHT_SWEEP_AGE_SECONDS,
     next_counter,
@@ -37,6 +43,11 @@ def make_task(index=0, n_processors=8192, priority=0, base_seed=11, attempt=0):
         priority=priority,
         attempt=attempt,
     )
+
+
+def cache_entries(root):
+    """Every entry file of the result cache rooted at ``root``."""
+    return sorted(path.name for path in root.rglob("*.json"))
 
 
 def ok_result(task, fault_plan=None, deadline=None):
@@ -77,6 +88,55 @@ class TestCoalescing:
         assert served.mean == original.mean
         assert second.stats()["tasks_executed"] == 0
         assert second.stats()["coalesced"] == 1
+        # The answer lives in the queue's cache, nowhere else.
+        assert cache_entries(tmp_path / "cache") == [f"{task.cache_key()}.json"]
+        assert not (tmp_path / "results").exists()
+
+    def test_task_cache_dir_is_kept_and_shared(self, tmp_path):
+        # A task naming its own cache answers into it, and a queue
+        # over a cache that is already warm evaluates nothing.
+        shared = tmp_path / "shared"
+        task = make_task()
+        task = EvaluationTask.from_json_dict(
+            dict(task.to_json_dict(), cache_dir=str(shared))
+        )
+        first = QueueExecutor(str(tmp_path / "q1"))
+        first.submit(task)
+        list(first.drain())
+        assert cache_entries(shared) == [f"{task.cache_key()}.json"]
+        assert not (tmp_path / "q1" / "cache").exists()
+
+        second = QueueExecutor(str(tmp_path / "q2"))
+        second.submit(task)
+        [served] = list(second.drain())
+        assert served.ok and served.coalesced
+        assert second.stats()["tasks_executed"] == 0
+
+    def test_pending_file_for_another_cache_is_not_ridden_on(self, tmp_path):
+        # A key queued for the queue's own cache must not absorb a
+        # submission answering into a named cache: that cache would
+        # never receive the entry, and a warm re-run would evaluate
+        # the point again.
+        task = make_task()
+        QueueExecutor(str(tmp_path / "q")).submit(task)  # never drained
+        named = EvaluationTask.from_json_dict(
+            dict(task.to_json_dict(), cache_dir=str(tmp_path / "named"))
+        )
+        executor = QueueExecutor(str(tmp_path / "q"))
+        executor.submit(named)
+        assert executor.stats()["coalesced"] == 0
+        assert len(os.listdir(tmp_path / "q" / "pending")) == 2
+        [result] = list(executor.drain())
+        assert result.ok
+        key = f"{task.cache_key()}.json"
+        assert cache_entries(tmp_path / "named") == [key]
+        assert cache_entries(tmp_path / "q" / "cache") == [key]
+
+    def test_default_root_is_not_persisted(self, tmp_path):
+        QueueExecutor(str(tmp_path)).submit(make_task())
+        [name] = os.listdir(tmp_path / "pending")
+        with open(tmp_path / "pending" / name, encoding="utf-8") as fh:
+            assert json.load(fh)["cache_dir"] is None
 
     def test_distinct_seeds_are_distinct_work(self, tmp_path):
         executor = QueueExecutor(str(tmp_path))
@@ -150,7 +210,7 @@ class TestCrashResume:
         assert [r.ok for r in results] == [True, True]
         assert os.listdir(tmp_path / "pending") == []
         # Both answers persist for the *next* crashed run.
-        assert len(os.listdir(tmp_path / "results")) == 2
+        assert len(cache_entries(tmp_path / "cache")) == 2
 
     def test_error_results_are_not_persisted(self, tmp_path):
         def flaky(task, *args):
@@ -161,7 +221,7 @@ class TestCrashResume:
                     failure={"error_type": "RuntimeError",
                              "error_message": "injected"},
                 )
-            return ok_result(task)
+            return execute_task(task)
 
         executor = QueueExecutor(str(tmp_path), run_task=flaky)
         executor.submit(make_task(index=0, n_processors=8192))
@@ -169,9 +229,9 @@ class TestCrashResume:
         results = {r.index: r for r in executor.drain()}
         assert results[0].ok
         assert not results[1].ok
-        # Only the ok result landed in the store: failures must be
+        # Only the ok result landed in the cache: failures must be
         # re-evaluated, never replayed.
-        assert len(os.listdir(tmp_path / "results")) == 1
+        assert len(cache_entries(tmp_path / "cache")) == 1
 
     def test_unreadable_task_file_is_dropped_with_note(self, tmp_path):
         executor = QueueExecutor(str(tmp_path))

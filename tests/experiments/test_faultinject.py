@@ -9,9 +9,6 @@ from repro.experiments.faultinject import (
     InjectedCrash,
     SweepAborted,
     _unit_interval,
-    corrupt_journal_line,
-    corrupt_journal_tail,
-    truncate_journal,
 )
 
 
@@ -101,37 +98,3 @@ class TestSampledFaultPlan:
         values = [_unit_interval(f"t{i}") for i in range(100)]
         assert all(0.0 <= v < 1.0 for v in values)
         assert _unit_interval("t0") == values[0]
-
-
-class TestCorruptionHelpers:
-    def write_journal(self, tmp_path, lines=('{"kind": "header"}', '{"kind": "point"}')):
-        path = tmp_path / "j.jsonl"
-        path.write_text("".join(line + "\n" for line in lines))
-        return str(path)
-
-    def test_corrupt_tail_appends_torn_record(self, tmp_path):
-        path = self.write_journal(tmp_path)
-        corrupt_journal_tail(path)
-        lines = open(path).read().splitlines()
-        assert len(lines) == 3
-        assert lines[2].startswith('{"kind": "point", "series"')
-        assert not lines[2].endswith("}")  # genuinely torn
-
-    def test_corrupt_line_overwrites_in_place(self, tmp_path):
-        path = self.write_journal(tmp_path)
-        corrupt_journal_line(path, 1)
-        lines = open(path).read().splitlines()
-        assert lines[0] == '{"kind": "header"}'
-        assert "garbage" in lines[1]
-
-    def test_corrupt_line_bounds_checked(self, tmp_path):
-        path = self.write_journal(tmp_path)
-        with pytest.raises(IndexError, match="cannot corrupt line 5"):
-            corrupt_journal_line(path, 5)
-
-    def test_truncate_keeps_prefix(self, tmp_path):
-        path = self.write_journal(
-            tmp_path, lines=("a", "b", "c", "d")
-        )
-        truncate_journal(path, 2)
-        assert open(path).read() == "a\nb\n"

@@ -1,25 +1,16 @@
-"""Tests for fault-tolerant sweep execution: checkpoint/resume,
-retry with backoff, hang supervision, and graceful degradation."""
+"""Tests for fault-tolerant sweep execution: resume from the result
+cache, retry with backoff, hang supervision, and graceful degradation."""
 
 import json
-import os
 
 import pytest
 
 from repro.core import HOUR, ModelParameters, SimulationPlan
+from repro.exec import shutdown_pool
 from repro.experiments import SweepPoint, run_sweep
-from repro.experiments.faultinject import (
-    FaultPlan,
-    SweepAborted,
-    corrupt_journal_line,
-    corrupt_journal_tail,
-)
-from repro.experiments.resilience import (
-    CheckpointError,
-    CheckpointJournal,
-    ResilienceOptions,
-    RetryPolicy,
-)
+from repro.experiments.archive import save_figure
+from repro.experiments.faultinject import FaultPlan, SweepAborted
+from repro.experiments.resilience import ResilienceOptions, RetryPolicy
 
 TINY = SimulationPlan(warmup=1 * HOUR, observation=10 * HOUR, replications=1)
 FAST_RETRY = RetryPolicy(max_retries=2, backoff_base=0.01)
@@ -123,178 +114,123 @@ class TestRetries:
 
 
 class TestCheckpointResume:
-    def test_interrupted_sweep_resumes_bit_identical(self, tmp_path):
-        points = make_points(4)
-        reference = sweep(points)
+    """Resume is a warm cache: an interrupted sweep re-run over the
+    same ``cache_dir`` simulates only the points it did not finish."""
 
-        plan = FaultPlan().abort_after_points(2)
+    @staticmethod
+    def abort_after(points, cache_dir, after, **kwargs):
+        plan = FaultPlan().abort_after_points(after)
         with pytest.raises(SweepAborted):
             sweep(
                 points,
                 resilience=ResilienceOptions(
-                    checkpoint_dir=str(tmp_path), fault_plan=plan
+                    cache_dir=cache_dir, fault_plan=plan
                 ),
+                **kwargs,
             )
-        journal_path = tmp_path / "fig-test.journal.jsonl"
-        assert journal_path.exists()
-        # header + 2 completed points
-        assert len(journal_path.read_text().splitlines()) == 3
 
+    def test_interrupted_sweep_resumes_bit_identical(self, tmp_path):
+        points = make_points(4)
+        reference = sweep(points)
+        self.abort_after(points, str(tmp_path), 2)
         resumed = sweep(
-            points, resilience=ResilienceOptions(checkpoint_dir=str(tmp_path))
+            points, resilience=ResilienceOptions(cache_dir=str(tmp_path))
         )
         assert resumed.series == reference.series
-        assert any("resumed" in note for note in resumed.notes)
+        assert resumed.manifest.points_from_cache == 2
+        assert resumed.manifest.new_evaluations == 2
+        assert (
+            f"result cache: 2 of 4 point(s) reused from {tmp_path}"
+            in resumed.notes
+        )
+
+    def test_resumed_archive_is_byte_identical_to_cold(self, tmp_path):
+        # Integral x values (machine sizes) must come back as ints: a
+        # resumed archive is the cold one byte for byte, apart from the
+        # cache's provenance note.
+        points = [
+            SweepPoint("s", n, ModelParameters(n_processors=n))
+            for n in (8192, 16384, 32768)
+        ]
+        plan = SimulationPlan(
+            warmup=1 * HOUR, observation=10 * HOUR, replications=2
+        )
+
+        def run(**kwargs):
+            return run_sweep(
+                "fig-int", "t", "x", "total_useful_work", points, plan,
+                seed=7, **kwargs,
+            )
+
+        cold = run()
+        assert cold.notes == []
+        cache_dir = str(tmp_path / "cache")
+        with pytest.raises(SweepAborted):
+            run(resilience=ResilienceOptions(
+                cache_dir=cache_dir,
+                fault_plan=FaultPlan().abort_after_points(2),
+            ))
+        resumed = run(resilience=ResilienceOptions(cache_dir=cache_dir))
+        cold_path = save_figure(cold, str(tmp_path / "cold"))
+        resumed_path = save_figure(resumed, str(tmp_path / "resumed"))
+        with open(cold_path, encoding="utf-8") as handle:
+            cold_text = handle.read()
+        with open(resumed_path, encoding="utf-8") as handle:
+            resumed_text = handle.read()
+        payload = json.loads(cold_text)
+        # The archive writer's own encoding, so this compares bytes.
+        assert json.dumps(payload, indent=2, sort_keys=True) == cold_text
+        payload["notes"] = [
+            f"result cache: 2 of 3 point(s) reused from {cache_dir}"
+        ]
+        assert resumed_text == json.dumps(payload, indent=2, sort_keys=True)
+        assert all(
+            isinstance(x, int) for x, _, _ in resumed.series["s"]
+        )
 
     def test_resumed_points_are_not_resimulated(self, tmp_path):
         points = make_points(3)
-        sweep(points, resilience=ResilienceOptions(checkpoint_dir=str(tmp_path)))
+        sweep(points, resilience=ResilienceOptions(cache_dir=str(tmp_path)))
 
         # A crash-everything plan proves nothing runs on resume: the
-        # sweep still succeeds because every point comes from the journal.
+        # sweep still succeeds because every point comes from the cache.
         plan = FaultPlan()
         for index in range(len(points)):
             plan.crash(index, attempts=(0, 1, 2))
         resumed = sweep(
             points,
             resilience=ResilienceOptions(
-                checkpoint_dir=str(tmp_path), retry=FAST_RETRY, fault_plan=plan
+                cache_dir=str(tmp_path), retry=FAST_RETRY, fault_plan=plan
             ),
         )
         assert not resumed.failures
         assert len(resumed.series["s"]) == 3
 
-    def test_no_resume_discards_journal(self, tmp_path):
-        points = make_points(2)
-        sweep(points, resilience=ResilienceOptions(checkpoint_dir=str(tmp_path)))
-        plan = FaultPlan().crash(0, attempts=(0, 1, 2))
-        figure = sweep(
-            points,
-            resilience=ResilienceOptions(
-                checkpoint_dir=str(tmp_path), resume=False,
-                retry=FAST_RETRY, fault_plan=plan,
-            ),
-        )
-        # resume=False re-simulated everything, so the injected crash bit.
-        assert len(figure.failures) == 1
-
     def test_mismatched_configuration_refuses_resume(self, tmp_path):
+        # The cache key covers the whole request, seed included, so a
+        # sweep at another root seed cannot pick up the first sweep's
+        # points: nothing is reused and its figure equals a cold run.
         points = make_points(2)
-        sweep(points, resilience=ResilienceOptions(checkpoint_dir=str(tmp_path)))
-        with pytest.raises(CheckpointError, match="different sweep configuration"):
-            sweep(
-                points, seed=8,
-                resilience=ResilienceOptions(checkpoint_dir=str(tmp_path)),
-            )
+        sweep(points, resilience=ResilienceOptions(cache_dir=str(tmp_path)))
+        other = sweep(
+            points, seed=100,
+            resilience=ResilienceOptions(cache_dir=str(tmp_path)),
+        )
+        assert other.manifest.points_from_cache == 0
+        assert other.manifest.new_evaluations == 2
+        assert other.series == sweep(points, seed=100).series
 
     def test_progress_counts_resumed_points(self, tmp_path):
         points = make_points(3)
-        plan = FaultPlan().abort_after_points(2)
-        with pytest.raises(SweepAborted):
-            sweep(
-                points,
-                resilience=ResilienceOptions(
-                    checkpoint_dir=str(tmp_path), fault_plan=plan
-                ),
-            )
+        self.abort_after(points, str(tmp_path), 2)
         calls = []
         sweep(
             points,
             progress=lambda done, total: calls.append((done, total)),
-            resilience=ResilienceOptions(checkpoint_dir=str(tmp_path)),
+            resilience=ResilienceOptions(cache_dir=str(tmp_path)),
         )
         assert calls[0] == (2, 3)
         assert calls[-1] == (3, 3)
-
-
-class TestJournalCorruption:
-    def run_and_abort(self, tmp_path, points, after=2):
-        plan = FaultPlan().abort_after_points(after)
-        with pytest.raises(SweepAborted):
-            sweep(
-                points,
-                resilience=ResilienceOptions(
-                    checkpoint_dir=str(tmp_path), fault_plan=plan
-                ),
-            )
-        return os.path.join(str(tmp_path), "fig-test.journal.jsonl")
-
-    def test_torn_tail_is_truncated_and_resume_succeeds(self, tmp_path):
-        points = make_points(4)
-        reference = sweep(points)
-        journal_path = self.run_and_abort(tmp_path, points)
-        corrupt_journal_tail(journal_path)
-        resumed = sweep(
-            points, resilience=ResilienceOptions(checkpoint_dir=str(tmp_path))
-        )
-        assert resumed.series == reference.series
-        assert any("corrupt" in note for note in resumed.notes)
-
-    def test_mid_file_corruption_keeps_valid_prefix(self, tmp_path):
-        points = make_points(4)
-        reference = sweep(points)
-        journal_path = self.run_and_abort(tmp_path, points, after=3)
-        corrupt_journal_line(journal_path, 2)  # second point record
-        resumed = sweep(
-            points, resilience=ResilienceOptions(checkpoint_dir=str(tmp_path))
-        )
-        # Only the first point survived the corruption; the rest were
-        # re-simulated, and the figure still matches bit-identically.
-        assert resumed.series == reference.series
-
-    def test_corrupt_header_starts_fresh(self, tmp_path):
-        points = make_points(2)
-        reference = sweep(points)
-        journal_path = self.run_and_abort(tmp_path, points, after=1)
-        corrupt_journal_line(journal_path, 0)  # destroy the header
-        figure = sweep(
-            points, resilience=ResilienceOptions(checkpoint_dir=str(tmp_path))
-        )
-        assert figure.series == reference.series
-        assert any("unusable header" in note for note in figure.notes)
-
-
-class TestJournalUnit:
-    def test_fingerprint_sensitivity(self):
-        signatures = [("s", 1.0, "params-a"), ("s", 2.0, "params-b")]
-        base = CheckpointJournal.fingerprint("f", "m", 0, TINY, signatures)
-        assert base == CheckpointJournal.fingerprint("f", "m", 0, TINY, signatures)
-        assert base != CheckpointJournal.fingerprint("f", "m", 1, TINY, signatures)
-        assert base != CheckpointJournal.fingerprint(
-            "f", "m", 0, TINY, [("s", 1.0, "params-a"), ("s", 2.0, "params-c")]
-        )
-
-    def test_journal_roundtrip_preserves_floats_exactly(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        journal = CheckpointJournal(path)
-        journal.begin("fp", {})
-        mean = 0.12345678901234567
-        journal.record_point(0, "s", 1.0, mean, 1e-17, attempt=0, seed_used=3)
-        journal.close()
-        state = CheckpointJournal(path).load("fp")
-        assert state.outcomes[("s", 1.0)] == ("s", 1.0, mean, 1e-17)
-
-    def test_load_missing_journal_is_empty(self, tmp_path):
-        state = CheckpointJournal(str(tmp_path / "absent.jsonl")).load("fp")
-        assert state.outcomes == {}
-
-    def test_append_requires_begin(self, tmp_path):
-        journal = CheckpointJournal(str(tmp_path / "j.jsonl"))
-        with pytest.raises(CheckpointError):
-            journal.record_point(0, "s", 1.0, 0.5, 0.0, attempt=0, seed_used=0)
-
-    def test_journal_records_are_json_lines(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        journal = CheckpointJournal(path)
-        journal.begin("fp", {"figure_id": "f"})
-        journal.record_point(0, "s", 1.0, 0.5, 0.1, attempt=1, seed_used=99)
-        journal.close()
-        header, point = [json.loads(line) for line in open(path)]
-        assert header["kind"] == "header"
-        assert header["figure_id"] == "f"
-        assert point["kind"] == "point"
-        assert point["attempt"] == 1
-        assert point["seed_used"] == 99
 
 
 class TestPoolSupervision:
@@ -568,16 +504,12 @@ class TestPoolShutdownErrors:
             pass
 
     def test_reraises_when_no_prior_error(self):
-        from repro.experiments.resilience import SweepSupervisor
-
         notes = []
         with pytest.raises(OSError, match="close failed"):
-            SweepSupervisor._shutdown_pool(self.BrokenPool(), notes=notes)
+            shutdown_pool(self.BrokenPool(), notes=notes)
         assert notes and "close failed" in notes[0]
 
     def test_suppresses_but_records_with_prior_error_in_flight(self):
-        from repro.experiments.resilience import SweepSupervisor
-
         notes = []
         with pytest.raises(ValueError, match="primary"):
             try:
@@ -585,18 +517,17 @@ class TestPoolShutdownErrors:
             except ValueError:
                 # Cleanup inside an except block must not replace the
                 # primary error -- but it must still leave a note.
-                SweepSupervisor._shutdown_pool(self.BrokenPool(), notes=notes)
+                shutdown_pool(self.BrokenPool(), notes=notes)
                 raise
         assert notes and "close failed" in notes[0]
 
     def test_counts_failures_in_metrics(self):
-        from repro.experiments.resilience import SweepSupervisor
         from repro.obs.metrics import MetricsRegistry, set_registry
 
         previous = set_registry(MetricsRegistry())
         try:
             with pytest.raises(OSError):
-                SweepSupervisor._shutdown_pool(self.BrokenPool(), terminate=True)
+                shutdown_pool(self.BrokenPool(), terminate=True)
             from repro.obs.metrics import registry
 
             assert (
@@ -607,10 +538,8 @@ class TestPoolShutdownErrors:
             set_registry(previous)
 
     def test_clean_shutdown_is_silent(self):
-        from repro.experiments.resilience import SweepSupervisor
-
         notes = []
-        SweepSupervisor._shutdown_pool(self.GoodPool(), notes=notes)
+        shutdown_pool(self.GoodPool(), notes=notes)
         assert notes == []
 
 

@@ -26,7 +26,6 @@ def make_manifest(**overrides):
         preset="quick",
         plan={"replications": 3, "kernel": "incremental"},
         points_total=10,
-        points_from_journal=2,
         points_from_cache=3,
         new_evaluations=5,
         retries=1,
@@ -68,12 +67,23 @@ class TestRoundTrip:
 
     def test_warm_cache_shape(self, tmp_path):
         """A warm-cache re-run manifest records zero new evaluations."""
-        manifest = make_manifest(
-            points_from_cache=10, new_evaluations=0, points_from_journal=0
-        )
+        manifest = make_manifest(points_from_cache=10, new_evaluations=0)
         loaded = load_manifest(write_manifest(manifest, str(tmp_path)))
         assert loaded.new_evaluations == 0
         assert loaded.points_from_cache == loaded.points_total
+
+    def test_legacy_from_journal_count_loads(self, tmp_path):
+        # Manifests written while sweeps could resume from a checkpoint
+        # journal count those points under points.from_journal.
+        path = Path(write_manifest(make_manifest(), str(tmp_path)))
+        payload = json.loads(path.read_text())
+        payload["points"]["from_journal"] = 2
+        path.write_text(json.dumps(payload))
+        loaded = load_manifest(str(path))
+        assert loaded.points_from_cache == 3
+        assert loaded.new_evaluations == 5
+        assert "from_journal" not in loaded.to_json_dict()["points"]
+        assert "journal" not in render_manifest(loaded)
 
 
 class TestResilienceSection:

@@ -5,14 +5,14 @@ import os
 import signal
 import time
 
-from repro.exec import TaskResult
+from repro.exec import TaskResult, execute_task
 from repro.service import submit_job
 from repro.service.worker import ServiceWorker
 
 
 def submit_small(queue_dir, **kwargs):
     defaults = dict(
-        preset="quick", seed=3, max_points=2, tenant="acme",
+        preset="quick", seed=3, max_points=2,
         backend="analytical",
     )
     defaults.update(kwargs)
@@ -36,6 +36,11 @@ def canned(status="ok"):
     return run
 
 
+def cache_entries(queue_dir):
+    """Entry file names in the queue's own result cache."""
+    return sorted(path.name for path in (queue_dir / "cache").rglob("*.json"))
+
+
 class TestDrainLoop:
     def test_drains_queue_and_stores_results(self, tmp_path):
         record = submit_small(tmp_path)
@@ -43,8 +48,7 @@ class TestDrainLoop:
         assert worker.run() == 2
         assert os.listdir(tmp_path / "pending") == []
         assert os.listdir(tmp_path / "inflight") == []
-        stored = sorted(os.listdir(tmp_path / "results"))
-        assert stored == sorted(
+        assert cache_entries(tmp_path) == sorted(
             f"{point['key']}.json" for point in record.points
         )
 
@@ -60,7 +64,7 @@ class TestDrainLoop:
         from repro.obs import metrics
 
         submit_small(tmp_path)
-        failed_counter = metrics.registry().counter("tenant.acme.failed")
+        failed_counter = metrics.registry().counter("worker.failed")
         before = failed_counter.value
         worker = ServiceWorker(
             str(tmp_path), idle_exit=0.0, run_task=canned("error"),
@@ -68,7 +72,7 @@ class TestDrainLoop:
         )
         worker.run()
         assert worker.failed == 2
-        assert os.listdir(tmp_path / "results") == []
+        assert cache_entries(tmp_path) == []
         assert failed_counter.value == before + 2
         log = (tmp_path / "workers" / "w-fail.log.jsonl").read_text()
         statuses = [json.loads(line)["status"] for line in log.splitlines()]
@@ -79,14 +83,16 @@ class TestDrainLoop:
         from repro.obs import metrics
 
         record = submit_small(tmp_path, max_points=1)
-        evaluated = metrics.registry().counter("tenant.acme.evaluated")
-        failed = metrics.registry().counter("tenant.acme.failed")
+        evaluated = metrics.registry().counter("worker.evaluated")
+        failed = metrics.registry().counter("worker.failed")
         before = (evaluated.value, failed.value)
         calls = []
 
         def flaky(task, *args):
             calls.append((task.attempt, task.seed))
-            return canned("error" if len(calls) == 1 else "ok")(task)
+            if len(calls) == 1:
+                return canned("error")(task)
+            return execute_task(task)
 
         sleeps = []
         worker = ServiceWorker(
@@ -101,7 +107,7 @@ class TestDrainLoop:
         assert calls == [(0, seed), (1, seed)]
         assert sleeps[0] == 0.25
         assert worker.failed == 0
-        assert os.listdir(tmp_path / "results") == [f"{point['key']}.json"]
+        assert cache_entries(tmp_path) == [f"{point['key']}.json"]
         assert (evaluated.value, failed.value) == (before[0] + 1, before[1])
         log = (tmp_path / "workers" / "w-retry.log.jsonl").read_text()
         assert [json.loads(line)["status"] for line in log.splitlines()] == [
@@ -123,7 +129,7 @@ class TestDrainLoop:
         record = submit_small(tmp_path)
         # The registry is process-global: compare against its value
         # before this worker runs, not against zero.
-        before = metrics.registry().counter("tenant.acme.evaluated").value
+        before = metrics.registry().counter("worker.evaluated").value
         worker = ServiceWorker(str(tmp_path), idle_exit=0.0, worker_id="w1")
         worker.run()
         log_path = tmp_path / "workers" / "w1.log.jsonl"
@@ -135,48 +141,23 @@ class TestDrainLoop:
         snapshot_path = tmp_path / "obs" / "w1.metrics.json"
         with open(snapshot_path, encoding="utf-8") as handle:
             snapshot = json.load(handle)
-        assert snapshot["counters"].get("tenant.acme.evaluated") == before + 2
-
-    def test_tenant_of_unowned_key_is_anonymous(self, tmp_path):
-        from repro.exec import QueueExecutor
-
-        # Queue a task directly (no job record claims its key).
-        from repro.backends import EvaluationPlan
-        from repro.core import HOUR, ModelParameters, SimulationPlan
-        from repro.exec import EvaluationTask
-        from repro.obs import metrics
-
-        task = EvaluationTask(
-            index=0, series="s", x=1.0,
-            params=ModelParameters(n_processors=8192),
-            plan=EvaluationPlan(simulation=SimulationPlan(
-                warmup=2 * HOUR, observation=20 * HOUR, replications=1
-            )),
-            backend="analytical", base_seed=1,
-        )
-        executor = QueueExecutor(str(tmp_path))
-        executor.submit(task)
-        anon = metrics.registry().counter("tenant.anonymous.evaluated")
-        before = anon.value
-        ServiceWorker(str(tmp_path), idle_exit=0.0).run()
-        assert anon.value == before + 1
+        assert snapshot["counters"].get("worker.evaluated") == before + 2
 
 
 class TestShutdown:
     def test_request_stop_finishes_current_task(self, tmp_path):
         submit_small(tmp_path)
         worker = ServiceWorker(str(tmp_path), idle_exit=None)
-        inner = canned()
 
         def stop_during_first(task, *args):
             worker.request_stop()
-            return inner(task, *args)
+            return execute_task(task, *args)
 
         worker._run_task = stop_during_first
         # The first claimed task completes (and is stored) before the
         # loop honours the stop flag.
         assert worker.run() == 1
-        assert len(os.listdir(tmp_path / "results")) == 1
+        assert len(cache_entries(tmp_path)) == 1
         assert os.listdir(tmp_path / "inflight") == []
 
     def test_sigterm_routes_to_request_stop(self, tmp_path):
@@ -251,7 +232,4 @@ class TestLeaseIntegration:
         # pass by making the loop believe a period elapsed.
         assert worker.run() == 1
         assert os.listdir(tmp_path / "inflight") == []
-        assert len(os.listdir(tmp_path / "results")) == 1
-        assert record.points[0]["key"] + ".json" in os.listdir(
-            tmp_path / "results"
-        )
+        assert cache_entries(tmp_path) == [record.points[0]["key"] + ".json"]

@@ -54,7 +54,7 @@ def test_two_workers_zero_double_evaluations_bit_identical(tmp_path):
     queue_dir = tmp_path / "queue"
     record = submit_job(
         str(queue_dir), "fig4a", preset="quick", seed=1,
-        max_points=POINTS, tenant="ci", name="itest",
+        max_points=POINTS, name="itest",
     )
     workers = [
         spawn_worker(queue_dir, "itest-a"),
