@@ -35,6 +35,12 @@ Subpackages
     Observability: run manifests, process metrics, event tracing.
 """
 
+from time import perf_counter as _perf_counter
+
+#: ``time.perf_counter()`` when the package began importing; a run
+#: manifest's ``import_seconds`` is measured from here.
+IMPORT_STARTED = _perf_counter()
+
 from ._version import __version__
 from .core import (
     CoordinationMode,

@@ -106,6 +106,13 @@ class RunManifest:
         Summary of the trace sink, when one was installed.
     wall_clock_seconds:
         Real time the whole run took.
+    import_seconds:
+        Start-up before the run: ``time.perf_counter()`` at the entry
+        of :func:`~repro.experiments.figures.run_figure` minus the one
+        taken as ``repro`` began importing. For one ``run-figure``
+        command it is the package import plus CLI parsing; a later
+        figure of a multi-figure command also counts the earlier ones.
+        Old manifests without it load as 0.0.
     validation:
         Optional summary of a :mod:`repro.validate` run covering this
         configuration (the ``to_json_dict`` of a
@@ -140,6 +147,7 @@ class RunManifest:
     metrics: Dict[str, Any] = field(default_factory=dict)
     trace: Optional[Dict[str, Any]] = None
     wall_clock_seconds: float = 0.0
+    import_seconds: float = 0.0
     validation: Optional[Dict[str, Any]] = None
     execution: Optional[Dict[str, Any]] = None
     notes: List[str] = field(default_factory=list)
@@ -174,6 +182,7 @@ class RunManifest:
             "metrics": self.metrics,
             "trace": self.trace,
             "wall_clock_seconds": self.wall_clock_seconds,
+            "import_seconds": self.import_seconds,
             "validation": self.validation,
             "execution": self.execution,
             "notes": list(self.notes),
@@ -216,6 +225,7 @@ class RunManifest:
                 metrics=dict(payload.get("metrics") or {}),
                 trace=payload.get("trace"),
                 wall_clock_seconds=float(payload.get("wall_clock_seconds", 0.0)),
+                import_seconds=float(payload.get("import_seconds", 0.0)),
                 validation=payload.get("validation"),
                 execution=payload.get("execution"),
                 notes=[str(note) for note in payload.get("notes", [])],
@@ -302,7 +312,8 @@ def render_manifest(manifest: RunManifest) -> str:
         f"{manifest.points_from_cache} cache + "
         f"{manifest.new_evaluations} evaluated"
         f" ({manifest.retries} retries, {manifest.failed_points} failed)",
-        f"  wall clock: {manifest.wall_clock_seconds:.2f} s",
+        f"  wall clock: {manifest.wall_clock_seconds:.2f} s"
+        f"   import: {manifest.import_seconds:.2f} s",
     ]
     if manifest.plan:
         plan_bits = ", ".join(

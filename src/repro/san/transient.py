@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .errors import StateSpaceError
 from .statespace import StateSpace
@@ -107,12 +106,14 @@ class TransientSolver:
     # ------------------------------------------------------------------
     def _terms(self, t: float):
         """Yield (poisson_weight, pi0 @ P^k) pairs covering 1-tol mass."""
+        from scipy import stats
+
         lam_t = self._rate * t
         vector = self._pi0.copy()
         cumulative = 0.0
         k = 0
         while cumulative < 1.0 - self._tolerance:
-            weight = float(_scipy_stats.poisson.pmf(k, lam_t))
+            weight = float(stats.poisson.pmf(k, lam_t))
             yield weight, vector
             cumulative += weight
             vector = vector @ self._p
@@ -155,6 +156,8 @@ class TransientSolver:
         * r(pi0 P^k)`` where ``N_t`` is the uniformization Poisson
         process.
         """
+        from scipy import stats
+
         if t < 0:
             raise StateSpaceError(f"time must be >= 0, got {t}")
         if t == 0:
@@ -171,7 +174,7 @@ class TransientSolver:
         cumulative_pmf = 0.0
         k = 0
         while True:
-            pmf = float(_scipy_stats.poisson.pmf(k, lam_t))
+            pmf = float(stats.poisson.pmf(k, lam_t))
             cumulative_pmf += pmf
             survival = max(0.0, 1.0 - cumulative_pmf)  # P(N_t > k)
             total += survival * float(vector @ reward_vector)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from ..failures.processes import (
     BurstProcess,
@@ -88,13 +87,14 @@ def ks_check(
 ) -> GofResult:
     """One-sample Kolmogorov–Smirnov test of ``samples`` against a
     closed-form CDF."""
+    from scipy import stats
 
     def vector_cdf(values: np.ndarray) -> np.ndarray:
         # kstest hands the whole sorted sample to the CDF at once; the
         # distribution CDFs are scalar functions.
         return np.array([cdf(float(v)) for v in np.atleast_1d(values)])
 
-    statistic, p_value = _scipy_stats.kstest(np.asarray(samples), vector_cdf)
+    statistic, p_value = stats.kstest(np.asarray(samples), vector_cdf)
     return GofResult(
         name, "ks", float(statistic), float(p_value), len(samples), alpha
     )
@@ -113,6 +113,8 @@ def chi_square_check(
     the closed-form CDF over those edges — an instrument independent
     of the KS statistic's supremum norm.
     """
+    from scipy import stats
+
     data = np.sort(np.asarray(samples, dtype=float))
     n = len(data)
     if n < bins * 5:
@@ -128,7 +130,7 @@ def chi_square_check(
     # chi-square approximation honest.
     keep = expected > 1e-9
     observed, expected = observed[keep], expected[keep]
-    statistic, p_value = _scipy_stats.chisquare(
+    statistic, p_value = stats.chisquare(
         observed, expected * (observed.sum() / expected.sum())
     )
     return GofResult(
@@ -167,6 +169,8 @@ def check_poisson_process(
     """The homogeneous process must have exponential inter-arrivals
     (KS) and a Poisson-consistent arrival count (two-sided exact
     tail)."""
+    from scipy import stats
+
     rng = StreamRegistry(seed).get("validate/gof/poisson")
     arrivals = PoissonProcess(rate, rng).arrivals(horizon)
     gaps = np.diff([0.0] + list(arrivals))
@@ -181,8 +185,8 @@ def check_poisson_process(
     expected = rate * horizon
     count = len(arrivals)
     # Two-sided exact Poisson tail probability of a count this extreme.
-    lower = float(_scipy_stats.poisson.cdf(count, expected))
-    upper = float(_scipy_stats.poisson.sf(count - 1, expected))
+    lower = float(stats.poisson.cdf(count, expected))
+    upper = float(stats.poisson.sf(count - 1, expected))
     p_value = min(1.0, 2.0 * min(lower, upper))
     results.append(
         GofResult(
@@ -207,10 +211,12 @@ def _rate_check(
 ) -> GofResult:
     """Normal-approximation check of an arrival count against its
     expectation (the count is a sum of many thin-window indicators)."""
+    from scipy import stats
+
     if expected <= 0:
         raise ValueError(f"expected count must be > 0, got {expected}")
     z = (count - expected) / math.sqrt(expected)
-    p_value = 2.0 * float(_scipy_stats.norm.sf(abs(z)))
+    p_value = 2.0 * float(stats.norm.sf(abs(z)))
     return GofResult(
         name, "rate-z", z, p_value, count, alpha,
         detail=detail or f"expected {expected:.0f}",
@@ -234,6 +240,8 @@ def check_modulated_process(
     the z-score is corrected by the MMPP over-dispersion factor
     (the long-window limit of var/mean for the two-phase chain).
     """
+    from scipy import stats
+
     rng = StreamRegistry(seed).get("validate/gof/modulated")
     process = ModulatedPoissonProcess(base_rate, r, alpha_fraction, window, rng)
     count = len(process.arrivals(horizon))
@@ -246,7 +254,7 @@ def check_modulated_process(
     t_mix = 1.0 / (1.0 / process.quiet_mean + 1.0 / window)
     over = 1.0 + 2.0 * a * (1.0 - a) * delta**2 * t_mix / process.average_rate
     z = (count - expected) / math.sqrt(expected * over)
-    p_value = 2.0 * float(_scipy_stats.norm.sf(abs(z)))
+    p_value = 2.0 * float(stats.norm.sf(abs(z)))
     return GofResult(
         "modulated-average-rate", "rate-z", z, p_value, count, alpha,
         detail=f"expected {expected:.0f}, over-dispersion x{over:.1f}",
@@ -265,6 +273,8 @@ def check_burst_process(
     """Burst semantics: with ``p_e = 0`` the process degenerates to the
     base Poisson process exactly; with bursts on, the arrival count
     must exceed the base expectation (bursts only ever add)."""
+    from scipy import stats
+
     streams = StreamRegistry(seed)
     plain = BurstProcess(
         base_rate, r, 0.0, window, streams.get("validate/gof/burst-off")
@@ -291,7 +301,7 @@ def check_burst_process(
             "burst-on-adds-arrivals",
             "excess-z",
             z,
-            float(_scipy_stats.norm.cdf(z)),
+            float(stats.norm.cdf(z)),
             len(bursty),
             alpha,
             detail=f"{len(bursty)} bursty vs {len(plain)} plain",

@@ -86,6 +86,21 @@ class TestRoundTrip:
         assert "journal" not in render_manifest(loaded)
 
 
+class TestImportSeconds:
+    def test_round_trips_and_renders_beside_wall_clock(self, tmp_path):
+        manifest = make_manifest(import_seconds=0.31)
+        loaded = load_manifest(write_manifest(manifest, str(tmp_path)))
+        assert loaded.import_seconds == 0.31
+        assert "wall clock: 12.50 s   import: 0.31 s" in render_manifest(loaded)
+
+    def test_absent_in_old_payloads_loads_as_zero(self, tmp_path):
+        path = Path(write_manifest(make_manifest(), str(tmp_path)))
+        payload = json.loads(path.read_text())
+        del payload["import_seconds"]
+        path.write_text(json.dumps(payload))
+        assert load_manifest(str(path)).import_seconds == 0.0
+
+
 class TestResilienceSection:
     """Manifests no longer carry a ``resilience`` section; ones written
     while the backend resilience layer existed must still load."""

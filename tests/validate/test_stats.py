@@ -6,6 +6,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from repro.san.statistics import (
+    _T_CRITICAL_95,
     ConfidenceInterval,
     confidence_interval,
     pooled_interval,
@@ -31,9 +32,15 @@ def sampled(mean, half_width=0.01, n=10, validated=True):
 
 class TestSanStatisticsHelpers:
     def test_t_critical_matches_scipy(self):
-        assert t_critical(0.95, 9) == pytest.approx(
-            scipy_stats.t.ppf(0.975, df=9)
-        )
+        # The 95 % table must be bit-identical to scipy, and any other
+        # (confidence, df) must fall back to scipy unchanged.
+        assert sorted(_T_CRITICAL_95) == list(range(1, 31))
+        grid = [(0.95, df) for df in _T_CRITICAL_95]
+        grid += [(c, df) for c in (0.9, 0.99) for df in (1, 31, 200)]
+        grid += [(0.95, 31), (0.95, 200)]
+        for confidence, df in grid:
+            expected = float(scipy_stats.t.ppf(0.5 + confidence / 2, df=df))
+            assert t_critical(confidence, df) == expected, (confidence, df)
 
     def test_t_critical_validation(self):
         with pytest.raises(ValueError):
