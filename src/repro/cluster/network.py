@@ -4,13 +4,14 @@ Two abstractions back the cluster simulator:
 
 * :class:`Network` — delivers protocol messages with configurable
   latency; broadcasts model the hardware broadcast tree (one latency
-  to every destination, as in BlueGene/L) and unicasts add the
-  software transmission overhead.
+  to every destination, as in BlueGene/L, delivered by one engine
+  event) and unicasts add the software transmission overhead.
 * :class:`SharedLink` — a processor-sharing bandwidth pipe: concurrent
   transfers share the capacity equally (64 compute nodes dumping
   256 MB each through their group's 350 MB/s link all complete at the
   aggregate time, matching the SAN model's deterministic dump
-  latency).
+  latency). Equal transfers admitted together enter as one entry of
+  multiplicity ``count``.
 
 The link runs on *virtual time*: it tracks one scalar — the cumulative
 per-transfer service ``S`` (bytes any always-active transfer would have
@@ -65,10 +66,15 @@ class Network:
         self._engine.schedule(self.message_latency, receiver.receive, message)
 
     def broadcast(self, receivers: List[Any], message: Any) -> None:
-        """Hardware-tree broadcast: one latency to all destinations."""
+        """Hardware-tree broadcast: one latency to all destinations,
+        one engine event delivering to every receiver in order."""
         self.messages_sent += len(receivers)
-        for receiver in receivers:
-            self._engine.schedule(self.broadcast_latency, receiver.receive, message)
+        self._engine.schedule(self.broadcast_latency, _deliver, receivers, message)
+
+
+def _deliver(receivers: List[Any], message: Any) -> None:
+    for receiver in receivers:
+        receiver.receive(message)
 
 
 class Transfer:
@@ -76,11 +82,13 @@ class Transfer:
 
     ``virtual_start``/``virtual_finish`` are the link's virtual-time
     coordinates: the transfer is done when the link's cumulative
-    per-transfer service reaches ``virtual_finish``.
+    per-transfer service reaches ``virtual_finish``. ``count`` equal
+    transfers of ``nbytes`` each share the entry (and its callback).
     """
 
     __slots__ = (
         "nbytes",
+        "count",
         "on_complete",
         "cancelled",
         "done",
@@ -90,8 +98,11 @@ class Transfer:
         "_frozen_remaining",
     )
 
-    def __init__(self, nbytes: float, on_complete: Callable[[], None]) -> None:
+    def __init__(
+        self, nbytes: float, on_complete: Callable[[], None], count: int = 1
+    ) -> None:
         self.nbytes = float(nbytes)
+        self.count = count
         self.on_complete = on_complete
         self.cancelled = False
         self.done = False
@@ -102,8 +113,8 @@ class Transfer:
 
     @property
     def remaining(self) -> float:
-        """Bytes still to deliver (frozen at cancellation time for a
-        cancelled transfer, 0 once complete)."""
+        """Bytes still to deliver per copy (frozen at cancellation time
+        for a cancelled transfer, 0 once complete)."""
         if self.done:
             return 0.0
         if self._frozen_remaining is not None:
@@ -153,17 +164,22 @@ class SharedLink:
         self._banked_bytes = 0.0
 
     # ------------------------------------------------------------------
-    def transfer(self, nbytes: float, on_complete: Callable[[], None]) -> Transfer:
-        """Start a transfer of ``nbytes``; ``on_complete`` runs when the
-        last byte arrives."""
+    def transfer(
+        self, nbytes: float, on_complete: Callable[[], None], count: int = 1
+    ) -> Transfer:
+        """Start ``count`` transfers of ``nbytes`` each as one entry
+        (exactly ``count`` single admissions at this instant);
+        ``on_complete`` runs once, when their last byte arrives."""
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
         self._advance()
-        item = Transfer(nbytes, on_complete)
+        item = Transfer(nbytes, on_complete, count)
         item._link = self
         item.virtual_start = self._virtual
         item.virtual_finish = self._virtual + item.nbytes
-        self._n_active += 1
+        self._n_active += count
         self._sequence += 1
         heapq.heappush(
             self._finish_heap, (item.virtual_finish, self._sequence, item)
@@ -180,8 +196,8 @@ class SharedLink:
         progressed = min(item.nbytes, max(0.0, self._virtual - item.virtual_start))
         item._frozen_remaining = item.nbytes - progressed
         item.cancelled = True
-        self._banked_bytes += progressed
-        self._n_active -= 1
+        self._banked_bytes += progressed * item.count
+        self._n_active -= item.count
         self._reschedule()
 
     def cancel_all(self) -> None:
@@ -195,14 +211,14 @@ class SharedLink:
             )
             item._frozen_remaining = item.nbytes - progressed
             item.cancelled = True
-            self._banked_bytes += progressed
+            self._banked_bytes += progressed * item.count
         self._n_active = 0
         del self._finish_heap[:]
         self._reschedule()
 
     @property
     def active_transfers(self) -> int:
-        """Number of in-flight transfers."""
+        """Number of in-flight transfers (each copy counts)."""
         return self._n_active
 
     @property
@@ -212,6 +228,7 @@ class SharedLink:
         self._advance()
         live = sum(
             min(item.nbytes, max(0.0, self._virtual - item.virtual_start))
+            * item.count
             for _, _, item in self._finish_heap
             if not item.cancelled and not item.done
         )
@@ -285,8 +302,8 @@ class SharedLink:
                 finished.append(item)
         for item in finished:
             item.done = True
-            self._banked_bytes += item.nbytes
-            self._n_active -= 1
+            self._banked_bytes += item.nbytes * item.count
+            self._n_active -= item.count
         self._reschedule()
         for item in finished:
             item.on_complete()

@@ -1,18 +1,22 @@
-"""Per-node state machines of the cluster simulator.
+"""Node state machines of the cluster simulator.
 
 Unlike the SAN model — which aggregates all compute nodes into one
 unit — these classes run the paper's six-step protocol *per node*:
-every compute node has its own exponential quiesce time, its own dump
-transfer on its I/O group's shared link, and its own protocol
-messages. The master collects 'ready'/'done' from every node and
-enforces the timeout. This is the ground truth the aggregate model's
+every compute node has its own state, its own exponential quiesce
+time and its own share of its I/O group's dump link. Each fan-out
+and fan-in costs one engine event, not one per node: a broadcast is
+delivered to every node at once, the round's quiesce ends at the
+maximum of the nodes' quiesce times, and each I/O group's dumps are
+one transfer whose completion answers for the whole group. The
+master collects the collective 'ready'/'done' counts and enforces
+the timeout. This is the ground truth the aggregate model's
 coordination law (max of n exponentials) is validated against.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from .protocol import Message, MessageType
 
@@ -34,95 +38,23 @@ class ComputeNodeState(enum.Enum):
 
 
 class ComputeNode:
-    """One compute node: executes, quiesces, dumps, resumes."""
+    """One compute node's protocol state.
 
-    def __init__(self, node_id: int, group: int, cluster: "ClusterSimulator") -> None:
+    The node holds no events of its own: the cluster moves every node
+    through a round at once (:meth:`ClusterSimulator.receive
+    <repro.cluster.simulator.ClusterSimulator.receive>`) and each I/O
+    node runs its group's dump (:meth:`IONode.dump`).
+    """
+
+    __slots__ = ("node_id", "state", "epoch")
+
+    def __init__(self, node_id: int) -> None:
         self.node_id = node_id
-        self.group = group
-        self.cluster = cluster
         self.state = ComputeNodeState.EXECUTING
         self.epoch = 0
-        self._quiesce_event = None
-        self._dump_transfer = None
-
-    # ------------------------------------------------------------------
-    def receive(self, message: Message) -> None:
-        """Protocol message dispatch; stale-epoch messages are dropped."""
-        if self.state is ComputeNodeState.DOWN:
-            return
-        kind = message.type
-        if kind is MessageType.QUIESCE:
-            self._on_quiesce(message.epoch)
-        elif kind is MessageType.CHECKPOINT:
-            self._on_checkpoint(message.epoch)
-        elif kind is MessageType.PROCEED:
-            self._on_proceed(message.epoch)
-        elif kind is MessageType.ABORT:
-            self._on_abort(message.epoch)
-
-    def _on_quiesce(self, epoch: int) -> None:
-        if self.state is not ComputeNodeState.EXECUTING:
-            return
-        self.epoch = epoch
-        self.state = ComputeNodeState.QUIESCING
-        delay = self.cluster.sample_quiesce_time()
-        self._quiesce_event = self.cluster.engine.schedule(
-            delay, self._quiesced, epoch
-        )
-
-    def _quiesced(self, epoch: int) -> None:
-        self._quiesce_event = None
-        if self.state is not ComputeNodeState.QUIESCING or self.epoch != epoch:
-            return
-        self.state = ComputeNodeState.READY
-        self.cluster.network.send(
-            self.cluster.master, Message(MessageType.READY, self.node_id, epoch)
-        )
-
-    def _on_checkpoint(self, epoch: int) -> None:
-        if self.state is not ComputeNodeState.READY or self.epoch != epoch:
-            return
-        self.state = ComputeNodeState.DUMPING
-        link = self.cluster.dump_link(self.group)
-        self._dump_transfer = link.transfer(
-            self.cluster.params.checkpoint_size_per_node,
-            lambda: self._dump_complete(epoch),
-        )
-
-    def _dump_complete(self, epoch: int) -> None:
-        self._dump_transfer = None
-        if self.state is not ComputeNodeState.DUMPING or self.epoch != epoch:
-            return
-        self.state = ComputeNodeState.WAITING_PROCEED
-        self.cluster.io_node(self.group).buffer_node_checkpoint(self.node_id, epoch)
-        self.cluster.network.send(
-            self.cluster.master, Message(MessageType.DONE, self.node_id, epoch)
-        )
-
-    def _on_proceed(self, epoch: int) -> None:
-        if self.state is ComputeNodeState.WAITING_PROCEED and self.epoch == epoch:
-            self.state = ComputeNodeState.EXECUTING
-
-    def _on_abort(self, epoch: int) -> None:
-        if self.epoch != epoch:
-            return
-        self.cancel_protocol()
-        if self.state is not ComputeNodeState.DOWN:
-            self.state = ComputeNodeState.EXECUTING
-
-    # ------------------------------------------------------------------
-    def cancel_protocol(self) -> None:
-        """Drop any in-flight quiesce timer or dump transfer."""
-        if self._quiesce_event is not None:
-            self._quiesce_event.cancel()
-            self._quiesce_event = None
-        if self._dump_transfer is not None:
-            self.cluster.dump_link(self.group).cancel(self._dump_transfer)
-            self._dump_transfer = None
 
     def fail(self) -> None:
         """The node crashed (the cluster handles the global rollback)."""
-        self.cancel_protocol()
         self.state = ComputeNodeState.DOWN
 
     def restore(self) -> None:
@@ -131,25 +63,59 @@ class ComputeNode:
 
 
 class IONode:
-    """One I/O node: buffers its group's checkpoints, writes them back
-    to the file system in the background."""
+    """One I/O node: receives its group's checkpoint dumps, buffers
+    them, and writes them back to the file system in the background."""
 
-    def __init__(self, io_id: int, cluster: "ClusterSimulator") -> None:
+    def __init__(
+        self, io_id: int, nodes: List[ComputeNode], cluster: "ClusterSimulator"
+    ) -> None:
         self.io_id = io_id
+        #: The compute nodes of this I/O node's group.
+        self.nodes = nodes
         self.cluster = cluster
         self.buffered_epoch: Optional[int] = None
         self._pending_nodes = 0
         self._writeback_transfer = None
         self.down = False
 
-    def buffer_node_checkpoint(self, node_id: int, epoch: int) -> None:
-        """A compute node of this group finished its dump."""
+    def dump(self, epoch: int) -> None:
+        """'checkpoint' reached the group: its k nodes READY in
+        ``epoch`` dump together, as one transfer of multiplicity k on
+        the group's shared link."""
+        nodes = [
+            node for node in self.nodes
+            if node.state is ComputeNodeState.READY and node.epoch == epoch
+        ]
+        if not nodes:
+            return
+        for node in nodes:
+            node.state = ComputeNodeState.DUMPING
+        self.cluster.dump_link(self.io_id).transfer(
+            self.cluster.params.checkpoint_size_per_node,
+            lambda: self._dump_complete(nodes, epoch),
+            count=len(nodes),
+        )
+
+    def _dump_complete(self, nodes: List[ComputeNode], epoch: int) -> None:
+        """The group's dumps drained: one 'done' speaks for all of them.
+        (Rollback and abort cancel the transfer, so every node is still
+        dumping in ``epoch``.)"""
+        for node in nodes:
+            node.state = ComputeNodeState.WAITING_PROCEED
+        self.buffer_checkpoints(epoch, len(nodes))
+        self.cluster.network.send(
+            self.cluster.master,
+            Message(MessageType.DONE, -1, epoch, count=len(nodes)),
+        )
+
+    def buffer_checkpoints(self, epoch: int, count: int) -> None:
+        """``count`` compute nodes of this group finished their dump."""
         if self.down:
             return
         if self.buffered_epoch != epoch:
             self.buffered_epoch = epoch
             self._pending_nodes = 0
-        self._pending_nodes += 1
+        self._pending_nodes += count
 
     def start_writeback(self, epoch: int, nbytes: float) -> None:
         """Write the buffered group checkpoint to the file system."""
@@ -185,7 +151,7 @@ class IONode:
         return (
             not self.down
             and self.buffered_epoch is not None
-            and self._pending_nodes >= self.cluster.group_size(self.io_id)
+            and self._pending_nodes >= len(self.nodes)
         )
 
 
@@ -237,23 +203,25 @@ class MasterNode:
         self._phase = MessageType.QUIESCE
         self._quiesce_broadcast_at = self.cluster.engine.now
         self.cluster.begin_checkpoint_round(self.epoch)
-        self.cluster.network.broadcast(
-            self.cluster.compute_nodes, Message(MessageType.QUIESCE, -1, self.epoch)
-        )
+        self.broadcast(MessageType.QUIESCE)
         timeout = self.cluster.params.timeout
         if timeout is not None:
             self._timer = self.cluster.engine.schedule(timeout, self._timed_out)
 
+    def broadcast(self, kind: MessageType) -> None:
+        """Send ``kind`` of the current round to every compute node."""
+        self.cluster.network.broadcast([self.cluster], Message(kind, -1, self.epoch))
+
     def receive(self, message: Message) -> None:
-        """Collect 'ready' and 'done' responses."""
+        """Collect the collective 'ready' and 'done' counts."""
         if message.epoch != self.epoch:
             return
         if message.type is MessageType.READY and self._phase is MessageType.QUIESCE:
-            self._ready += 1
+            self._ready += message.count
             if self._ready >= len(self.cluster.compute_nodes):
                 self._all_ready()
         elif message.type is MessageType.DONE and self._phase is MessageType.CHECKPOINT:
-            self._done += 1
+            self._done += message.count
             if self._done >= len(self.cluster.compute_nodes):
                 self._all_done()
 
@@ -264,17 +232,13 @@ class MasterNode:
             self.cluster.engine.now - self._quiesce_broadcast_at
         )
         self._phase = MessageType.CHECKPOINT
-        self.cluster.network.broadcast(
-            self.cluster.compute_nodes, Message(MessageType.CHECKPOINT, -1, self.epoch)
-        )
+        self.broadcast(MessageType.CHECKPOINT)
 
     def _all_done(self) -> None:
         """Step (5): every node dumped — broadcast 'proceed'; the I/O
         nodes write back in the background."""
         self._phase = None
-        self.cluster.network.broadcast(
-            self.cluster.compute_nodes, Message(MessageType.PROCEED, -1, self.epoch)
-        )
+        self.broadcast(MessageType.PROCEED)
         self.cluster.complete_checkpoint_round(self.epoch)
         self.schedule_next_checkpoint()
 
@@ -285,9 +249,7 @@ class MasterNode:
             return
         self.aborts += 1
         self._phase = None
-        self.cluster.network.broadcast(
-            self.cluster.compute_nodes, Message(MessageType.ABORT, -1, self.epoch)
-        )
+        self.broadcast(MessageType.ABORT)
         self.cluster.abort_checkpoint_round(self.epoch)
         self.schedule_next_checkpoint()
 

@@ -3,13 +3,15 @@
 The master drives the six-step protocol::
 
     (1) master --quiesce-->  all compute nodes
-    (2) node   --ready---->  master           (once quiesced)
+    (2) nodes  --ready---->  master           (once quiesced)
     (3) master --checkpoint-> all compute nodes
-    (4) node   --done----->  master           (checkpoint dumped)
+    (4) nodes  --done----->  master           (checkpoint dumped)
     (5) master --proceed--->  all compute nodes
     (6) nodes resume; I/O nodes write the checkpoint back in background
 
-plus ``abort`` when the master times out waiting for 'ready'.
+plus ``abort`` when the master times out waiting for 'ready'. The
+compute side answers collectively: one 'ready' speaks for every node
+that quiesced in the round, one 'done' for each I/O group's dump.
 """
 
 from __future__ import annotations
@@ -41,16 +43,21 @@ class Message:
     type:
         The protocol step this message performs.
     sender:
-        Node identifier of the sender (-1 for the master).
+        Node identifier of the sender (-1 for the master and for the
+        compute nodes answering as one).
     epoch:
         The checkpoint round the message belongs to; nodes discard
         messages from stale rounds (e.g. a 'ready' that arrives after
         the master already aborted that round).
+    count:
+        How many compute nodes a collective 'ready' or 'done' speaks
+        for.
     """
 
     type: MessageType
     sender: int
     epoch: int
+    count: int = 1
 
     def __str__(self) -> str:
         return f"{self.type.value}(from={self.sender}, epoch={self.epoch})"

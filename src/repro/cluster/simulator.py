@@ -15,8 +15,9 @@ wait for the phase to finish (non-preemptible writes), completed I/O
 phases queue background application-data writes on the file-system
 links, and an I/O-node failure during such a write rolls the
 application back. Any I/O-node failure during an active checkpoint
-round aborts that round. Per-node simulation is practical up to a few
-thousand nodes; the SAN model covers the hundreds-of-thousands regime.
+round aborts that round. Each protocol fan-out and fan-in is one
+engine event, not one per node, so a round costs O(I/O groups) events
+and BlueGene/L scale (tens of thousands of nodes) is practical.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from ..san.rng import StreamRegistry
 from .engine import Engine
 from .filesystem import ParallelFileSystem
 from .network import Network, SharedLink
-from .nodes import ComputeNode, IONode, MasterNode
+from .nodes import ComputeNode, ComputeNodeState, IONode, MasterNode
+from .protocol import Message, MessageType
 
 __all__ = ["ClusterSimulator", "ClusterResult"]
 
@@ -74,7 +76,7 @@ class ClusterSimulator:
     ----------
     params:
         The system configuration (node counts are derived exactly as
-        in the SAN model; keep ``n_nodes`` in the low thousands).
+        in the SAN model).
     seed:
         Root seed for the failure/quiesce random streams.
     sink:
@@ -105,13 +107,13 @@ class ClusterSimulator:
         self._failure_rng = streams.get("cluster/failures")
         self._recovery_rng = streams.get("cluster/recovery")
 
-        n_nodes = params.n_nodes
         n_io = params.n_io_nodes
         per_group = params.compute_nodes_per_io_node
-        self.compute_nodes = [
-            ComputeNode(i, i // per_group, self) for i in range(n_nodes)
+        self.compute_nodes = [ComputeNode(i) for i in range(params.n_nodes)]
+        self.io_nodes = [
+            IONode(i, self.compute_nodes[i * per_group:(i + 1) * per_group], self)
+            for i in range(n_io)
         ]
-        self.io_nodes = [IONode(i, self) for i in range(n_io)]
         self._dump_links = [
             SharedLink(self.engine, params.bandwidth_compute_to_io) for _ in range(n_io)
         ]
@@ -131,6 +133,8 @@ class ClusterSimulator:
         self._recovering = False
         self._io_restarting = False
         self._round_active = False
+        self._quiesce_event = None
+        self._recovery_event = None
 
         self.failure_count = 0
         self.io_failure_count = 0
@@ -142,21 +146,75 @@ class ClusterSimulator:
         # work; the I/O phase is non-preemptible and runs to the end.
         self._app_phase = "compute"
         self._app_phase_event = None
+        self._app_io_event = None
         self._app_compute_remaining = params.app_compute_phase
         self._app_io_ends_at = 0.0
         self._app_writes_in_flight = 0
 
     # ------------------------------------------------------------------
-    # Wiring helpers used by the node classes
+    # The compute nodes' side of the protocol: one event per fan-in
     # ------------------------------------------------------------------
-    def sample_quiesce_time(self) -> float:
-        """One node's quiesce delay: its exponential quiesce time plus
-        the wait for a non-preemptible application I/O phase to finish
-        (Section 3.3 — a task mid-write cannot quiesce)."""
+    def receive(self, message: Message) -> None:
+        """A master broadcast reaches every compute node at once."""
+        kind, epoch = message.type, message.epoch
+        if kind is MessageType.QUIESCE:
+            self._quiesce(epoch)
+        elif kind is MessageType.CHECKPOINT:
+            for io_node in self.io_nodes:
+                io_node.dump(epoch)
+        elif kind is MessageType.PROCEED:
+            waiting = ComputeNodeState.WAITING_PROCEED
+            for node in self.compute_nodes:
+                if node.state is waiting and node.epoch == epoch:
+                    node.state = ComputeNodeState.EXECUTING
+        elif kind is MessageType.ABORT:
+            self._cancel_protocol()
+            for node in self.compute_nodes:
+                if node.state is not ComputeNodeState.DOWN and node.epoch == epoch:
+                    node.state = ComputeNodeState.EXECUTING
+
+    def _quiesce(self, epoch: int) -> None:
+        """Every executing node starts to quiesce; one event at the
+        largest delay ends the fan-in. A delay is the node's exponential
+        quiesce time (one vector draw, in node order) plus the wait for
+        a non-preemptible application I/O phase (Section 3.3)."""
+        nodes = [
+            node for node in self.compute_nodes
+            if node.state is ComputeNodeState.EXECUTING
+        ]
+        if not nodes:
+            return
+        for node in nodes:
+            node.epoch = epoch
+            node.state = ComputeNodeState.QUIESCING
         extra = 0.0
         if self._app_enabled and self._app_phase == "io":
             extra = max(0.0, self._app_io_ends_at - self.engine.now)
-        return extra + float(self._quiesce_rng.exponential(self.params.mttq))
+        delays = extra + self._quiesce_rng.exponential(
+            self.params.mttq, size=len(nodes)
+        )
+        self._quiesce_event = self.engine.schedule(
+            float(delays.max()), self._quiesced, nodes, epoch
+        )
+
+    def _quiesced(self, nodes: List[ComputeNode], epoch: int) -> None:
+        """The last node quiesced: one 'ready' speaks for all of them.
+        (Rollback and abort cancel this event, so every node is still
+        quiescing in ``epoch``.)"""
+        self._quiesce_event = None
+        for node in nodes:
+            node.state = ComputeNodeState.READY
+        self.network.send(
+            self.master, Message(MessageType.READY, -1, epoch, count=len(nodes))
+        )
+
+    def _cancel_protocol(self) -> None:
+        """Drop the round's pending quiesce fan-in and group dumps."""
+        if self._quiesce_event is not None:
+            self._quiesce_event.cancel()
+            self._quiesce_event = None
+        for link in self._dump_links:
+            link.cancel_all()
 
     def dump_link(self, group: int) -> SharedLink:
         """The compute→I/O shared link of one group."""
@@ -165,16 +223,6 @@ class ClusterSimulator:
     def fs_link(self, io_id: int) -> SharedLink:
         """The I/O→file-system link of one I/O node."""
         return self._fs_links[io_id]
-
-    def io_node(self, group: int) -> IONode:
-        """The I/O node serving a compute-node group."""
-        return self.io_nodes[group]
-
-    def group_size(self, io_id: int) -> int:
-        """Compute nodes attached to one I/O node."""
-        per_group = self.params.compute_nodes_per_io_node
-        n_nodes = self.params.n_nodes
-        return min(per_group, n_nodes - io_id * per_group)
 
     @property
     def application_running(self) -> bool:
@@ -236,9 +284,8 @@ class ClusterSimulator:
     def _reset_app_phase(self) -> None:
         """A rollback discards the in-progress application phase."""
         self._cancel_app_compute_phase()
-        io_event = getattr(self, "_app_io_event", None)
-        if io_event is not None:
-            io_event.cancel()
+        if self._app_io_event is not None:
+            self._app_io_event.cancel()
             self._app_io_event = None
         self._app_phase = "compute"
         self._app_writes_in_flight = 0
@@ -253,7 +300,7 @@ class ClusterSimulator:
                 continue
             self._app_writes_in_flight += 1
             self.fs_link(io_node.io_id).transfer(
-                nbytes * self.group_size(io_node.io_id), self._app_write_complete
+                nbytes * len(io_node.nodes), self._app_write_complete
             )
         if self._accruing:
             self._start_app_compute_phase()
@@ -310,7 +357,7 @@ class ClusterSimulator:
             epoch, captured, streams=len(self.io_nodes)
         )
         for io_node in self.io_nodes:
-            io_node.start_writeback(epoch, nbytes * self.group_size(io_node.io_id))
+            io_node.start_writeback(epoch, nbytes * len(io_node.nodes))
 
     def abort_checkpoint_round(self, epoch: int) -> None:
         """The master timed out: abandon the round; the previous
@@ -370,15 +417,15 @@ class ClusterSimulator:
         self._reset_app_phase()
         self.master.reset()
         self._round_active = False
+        self._cancel_protocol()
         for node in self.compute_nodes:
             node.fail()
 
     def _start_recovery(self) -> None:
         # A failure during recovery restarts the attempt: drop the old
         # completion event before scheduling the new one.
-        pending = getattr(self, "_recovery_event", None)
-        if pending is not None:
-            pending.cancel()
+        if self._recovery_event is not None:
+            self._recovery_event.cancel()
         stage1 = 0.0
         if self._buffered_work is None:
             stage1 = self.params.checkpoint_fs_read_time
@@ -428,19 +475,14 @@ class ClusterSimulator:
         if self._round_active:
             # Nodes mid-dump lost their target buffers: the master
             # aborts the round (compute nodes are otherwise unaffected).
-            for link in self._dump_links:
-                link.cancel_all()
+            self._cancel_protocol()
             self._abort_round_due_to_io()
         restart = float(self._recovery_rng.exponential(self.params.mttr_io))
         self.engine.schedule(restart, self._io_restart_complete)
 
     def _abort_round_due_to_io(self) -> None:
-        from .protocol import Message, MessageType
-
         self.master.aborts += 1
-        self.network.broadcast(
-            self.compute_nodes, Message(MessageType.ABORT, -1, self.master.epoch)
-        )
+        self.master.broadcast(MessageType.ABORT)
         self.master.reset()
         self.abort_checkpoint_round(self.master.epoch)
         if not self._recovering:

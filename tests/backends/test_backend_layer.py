@@ -184,6 +184,22 @@ class TestSupports:
         reason = backend.supports(big, TINY)
         assert reason is not None and str(MAX_CLUSTER_NODES) in reason
 
+    def test_cluster_runs_bluegene_scale(self):
+        # 262,144 processors at 8 per node: the paper's largest system.
+        backend = get_backend("cluster")
+        params = ModelParameters(n_processors=262_144, mttf_node=100_000 * YEAR)
+        assert params.n_nodes == 32_768
+        plan = EvaluationPlan(
+            metrics=("mean_coordination_time",), seed=1, duration=2 * HOUR
+        )
+        assert backend.supports(params, plan) is None
+        result = backend.evaluate(params, plan)
+        assert result.details["rounds"] >= 3
+        # One round's coordination time is the max of 32,768 quiesce
+        # times: MTTQ * H_n = 109.7 s, spread ~13 s.
+        coordination = result.metrics["mean_coordination_time"].mean
+        assert 60.0 < coordination < 170.0
+
     def test_san_sim_covers_everything(self):
         backend = get_backend("san-sim")
         awkward = ModelParameters(
